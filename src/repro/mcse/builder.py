@@ -70,7 +70,7 @@ the optional ``tmo?`` timeouts additionally accept ``None`` /
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import BuildError
 from ..kernel.time import format_time, parse_time
@@ -88,12 +88,27 @@ _TOP_LEVEL_KEYS = frozenset(
 )
 
 
+#: One validated spec entry: instantiates its object on a fresh system.
+Step = Callable[[System], object]
+
+#: ``(key, form)`` of the last validated spec (see :func:`_form_key`).
+#: One entry suffices for the repeated builds of one spec that a model
+#: checker or a lint-then-run pipeline makes, and it never holds more
+#: than one spec's parsed ops beyond the systems built from them.
+_last_form: Optional[Tuple[str, Tuple]] = None
+
+
 def build_system(spec: Dict, sim=None) -> System:
     """Elaborate ``spec`` into a ready-to-run :class:`System`.
 
     A spec carrying a ``"personality"`` key is first lowered by that
     kernel personality (:mod:`repro.personality`) into the generic
     format, then elaborated exactly like a hand-written generic spec.
+
+    A plain-data spec is validated and parsed once: while no other spec
+    is built in between, later builds of an equal spec (the model checker
+    elaborates one per explored run) only instantiate objects from the
+    validated form.  A spec that fails to build is never cached.
     """
     if not isinstance(spec, dict):
         raise BuildError(f"spec must be a dict, got {type(spec).__name__}")
@@ -107,6 +122,37 @@ def build_system(spec: Dict, sim=None) -> System:
             if fn_name in system.functions:
                 system.functions[fn_name].personality_ops = ops
         return system
+    global _last_form
+    key = _form_key(spec)
+    last = _last_form
+    if key is not None and last is not None and last[0] == key:
+        return _instantiate(last[1], sim)
+    system, form = _validate_and_build(spec, sim)
+    if key is not None:
+        _last_form = (key, form)
+    return system
+
+
+def _form_key(spec: Dict) -> Optional[str]:
+    """The validated-form cache key of ``spec``, or ``None``: not cached.
+
+    ``repr`` determines plain data (dicts, lists, tuples, strings,
+    numbers, booleans, ``None``) exactly.  A spec naming an object by
+    identity (a ``<...>`` repr) or carrying a ``behavior`` callable is
+    elaborated afresh every time.
+    """
+    key = repr(spec)
+    if "<" in key or any(
+        isinstance(entry, dict) and "behavior" in entry
+        for entry in spec.get("functions", ())
+    ):
+        return None
+    return key
+
+
+def _validate_and_build(spec: Dict, sim) -> Tuple[System, Tuple]:
+    """First build of a spec: validate each entry, instantiate it, keep
+    the validated steps."""
     if "config" in spec:
         raise BuildError(
             "spec key 'config' is only meaningful together with "
@@ -118,24 +164,34 @@ def build_system(spec: Dict, sim=None) -> System:
             f"unknown spec keys {sorted(unknown)}; "
             f"expected a subset of {sorted(_TOP_LEVEL_KEYS)}"
         )
-    system = System(spec.get("name", "system"), sim=sim)
+    name = spec.get("name", "system")
+    system = System(name, sim=sim)
+    suppress = None
     if "lint_suppress" in spec:
-        system.lint_suppress = _parse_lint_suppress(
-            "spec", spec["lint_suppress"]
-        )
+        suppress = _parse_lint_suppress("spec", spec["lint_suppress"])
+        system.lint_suppress = suppress
 
-    for rel_spec in spec.get("relations", ()):
-        _build_relation(system, dict(rel_spec))
+    steps: List[Step] = []
+    for section, validate in (
+        ("relations", _build_relation),
+        ("processors", _build_processor),
+        ("scheduling_domains", _build_domain),
+        ("functions", _build_function),
+    ):
+        for entry in spec.get(section, ()):
+            step = validate(system, dict(entry))
+            step(system)
+            steps.append(step)
+    return system, (name, suppress, tuple(steps))
 
-    for cpu_spec in spec.get("processors", ()):
-        _build_processor(system, dict(cpu_spec))
 
-    for dom_spec in spec.get("scheduling_domains", ()):
-        _build_domain(system, dict(dom_spec))
-
-    for fn_spec in spec.get("functions", ()):
-        _build_function(system, dict(fn_spec))
-
+def _instantiate(form: Tuple, sim) -> System:
+    name, suppress, steps = form
+    system = System(name, sim=sim)
+    if suppress is not None:
+        system.lint_suppress = suppress
+    for step in steps:
+        step(system)
     return system
 
 
@@ -167,34 +223,40 @@ _RELATION_KEYS = {
 }
 
 
-def _build_relation(system: System, spec: Dict) -> None:
+#: The keyword a relation kind's factory always receives, and its default.
+_RELATION_DEFAULTS = {
+    "event": ("policy", "fugitive"),
+    "queue": ("capacity", 8),
+    "shared": ("initial", None),
+    "flags": ("initial", 0),
+}
+
+
+def _factory_step(where: str, method: str, args: tuple, kwargs: Dict,
+                  accepted=None) -> Step:
+    """A step calling the :class:`System` factory ``method``."""
+
+    def step(system: System):
+        return _elaborate(where, getattr(system, method), *args,
+                          accepted=accepted, **kwargs)
+
+    return step
+
+
+def _build_relation(system: System, spec: Dict) -> Step:
     kind = spec.pop("kind", None)
     name = spec.pop("name", None)
     if not name:
         raise BuildError(f"relation spec missing a name: {spec!r}")
-    where = f"relation {name!r}"
-    accepted = _RELATION_KEYS.get(kind)
-    if kind == "event":
-        _elaborate(where, system.event, name,
-                   policy=spec.pop("policy", "fugitive"),
-                   accepted=accepted, **spec)
-    elif kind == "queue":
-        _elaborate(where, system.queue, name,
-                   capacity=spec.pop("capacity", 8),
-                   accepted=accepted, **spec)
-    elif kind == "shared":
-        _elaborate(where, system.shared, name,
-                   initial=spec.pop("initial", None),
-                   accepted=accepted, **spec)
-    elif kind == "flags":
-        _elaborate(where, system.flags, name,
-                   initial=spec.pop("initial", 0),
-                   accepted=accepted, **spec)
-    else:
+    if kind not in _RELATION_DEFAULTS:
         raise BuildError(
             f"unknown relation kind {kind!r} for {name!r}; pick one of "
             f"{sorted(_RELATION_KEYS)}"
         )
+    keyword, default = _RELATION_DEFAULTS[kind]
+    spec[keyword] = spec.pop(keyword, default)
+    return _factory_step(f"relation {name!r}", kind, (name,), spec,
+                         _RELATION_KEYS[kind])
 
 
 _DURATION_KEYS = (
@@ -216,7 +278,7 @@ _PROCESSOR_KEYS = (
 )
 
 
-def _build_processor(system: System, spec: Dict) -> None:
+def _build_processor(system: System, spec: Dict) -> Step:
     name = spec.pop("name", None)
     if not name:
         raise BuildError(f"processor spec missing a name: {spec!r}")
@@ -225,8 +287,8 @@ def _build_processor(system: System, spec: Dict) -> None:
             spec[key] = parse_time(spec[key])
     if "windows" in spec:
         spec["windows"] = _parse_windows(name, spec["windows"])
-    _elaborate(f"processor {name!r}", system.processor, name,
-               accepted=_PROCESSOR_KEYS, **spec)
+    return _factory_step(f"processor {name!r}", "processor", (name,), spec,
+                         _PROCESSOR_KEYS)
 
 
 #: The declarative surface of a scheduling-domain entry.  Kept strict --
@@ -237,7 +299,7 @@ _DOMAIN_KEYS = frozenset(
 )
 
 
-def _build_domain(system: System, spec: Dict) -> None:
+def _build_domain(system: System, spec: Dict) -> Step:
     """Elaborate one ``scheduling_domains`` entry (see :mod:`repro.smp`).
 
     Shape::
@@ -262,20 +324,34 @@ def _build_domain(system: System, spec: Dict) -> None:
     processors = spec.pop("processors", None)
     if not isinstance(processors, (list, tuple)) or not processors:
         raise BuildError(f"{where} needs a non-empty processors list")
-    members = [_domain_processor(system, where, entry) for entry in processors]
+    for entry in processors:
+        _domain_processor(system, where, entry)
     if "migration_cost" in spec:
         spec["migration_cost"] = parse_time(spec["migration_cost"])
-    if "clusters" in spec:
-        clusters = spec["clusters"]
+    clusters = spec.pop("clusters", None)
+    if clusters is not None:
         if not isinstance(clusters, (list, tuple)):
             raise BuildError(
                 f"{where}: clusters must be a list of processor-name lists"
             )
-        spec["clusters"] = [
-            [_domain_processor(system, where, entry) for entry in group]
-            for group in clusters
-        ]
-    _elaborate(where, system.scheduling_domain, name, members, **spec)
+        for group in clusters:
+            for entry in group:
+                _domain_processor(system, where, entry)
+
+    def step(system: System):
+        # processors are objects of the system being built: resolve the
+        # validated names afresh on every instantiation
+        members = [system.processors[entry] for entry in processors]
+        kwargs = dict(spec)
+        if clusters is not None:
+            kwargs["clusters"] = [
+                [system.processors[entry] for entry in group]
+                for group in clusters
+            ]
+        return _elaborate(where, system.scheduling_domain, name, members,
+                          **kwargs)
+
+    return step
 
 
 def _domain_processor(system: System, where: str, entry):
@@ -346,7 +422,7 @@ _FUNCTION_KEYS = frozenset(
 ) | frozenset(_FUNCTION_META_KEYS)
 
 
-def _build_function(system: System, spec: Dict) -> None:
+def _build_function(system: System, spec: Dict) -> Step:
     name = spec.pop("name", None)
     if not name:
         raise BuildError(f"function spec missing a name: {spec!r}")
@@ -364,7 +440,9 @@ def _build_function(system: System, spec: Dict) -> None:
     if behavior is None:
         if script is None:
             raise BuildError(f"function {name!r} needs a behavior or a script")
-        behavior = compile_script(system, script)
+        ops = _validate_block(system, script, path="script")
+    else:
+        ops = getattr(behavior, "script_ops", None)
     if "start_time" in spec:
         spec["start_time"] = parse_time(spec["start_time"])
     meta = {}
@@ -387,24 +465,30 @@ def _build_function(system: System, spec: Dict) -> None:
                 )
             else:
                 meta[key] = parse_time(value) if is_time else value
-    fn = _elaborate(f"function {name!r}", system.function, name,
-                    behavior, **spec)
-    for key, value in meta.items():
-        setattr(fn, key, value)
-    ops = getattr(behavior, "script_ops", None)
-    if ops is not None:
-        #: The validated op list, kept for static analysis
-        #: (:mod:`repro.analyze` reads periodic profiles and lock
-        #: nesting straight from it).
-        fn.script_ops = ops
-    if processor is not None:
-        try:
-            cpu = system.processors[processor]
-        except KeyError:
-            raise BuildError(
-                f"function {name!r} mapped on unknown processor {processor!r}"
-            ) from None
-        cpu.map(fn)
+
+    def step(system: System):
+        body = behavior if script is None else _script_behavior(system, ops)
+        fn = _elaborate(f"function {name!r}", system.function, name,
+                        body, **spec)
+        for key, value in meta.items():
+            setattr(fn, key, value)
+        if ops is not None:
+            #: The validated op list, kept for static analysis
+            #: (:mod:`repro.analyze` reads periodic profiles and lock
+            #: nesting straight from it).
+            fn.script_ops = ops
+        if processor is not None:
+            try:
+                cpu = system.processors[processor]
+            except KeyError:
+                raise BuildError(
+                    f"function {name!r} mapped on unknown processor "
+                    f"{processor!r}"
+                ) from None
+            cpu.map(fn)
+        return fn
+
+    return step
 
 
 def _parse_affinity(system: System, name: str, value) -> tuple:
@@ -430,7 +514,13 @@ def _parse_affinity(system: System, name: str, value) -> tuple:
 # ---------------------------------------------------------------------------
 def compile_script(system: System, script: List) -> Callable[[Function], Generator]:
     """Turn a script op-list into a behavior callable."""
-    ops = _validate_block(system, script, path="script")
+    return _script_behavior(
+        system, _validate_block(system, script, path="script")
+    )
+
+
+def _script_behavior(system: System, ops: List) -> Callable[[Function], Generator]:
+    """The behavior interpreting already validated ``ops`` on ``system``."""
 
     def behavior(fn: Function) -> Generator:
         yield from _run_block(system, fn, ops)
@@ -598,7 +688,11 @@ def _flags_relation(system: System, name: str, where: str):
 
 
 def _run_block(system: System, fn: Function, ops: List) -> Generator:
-    for name, args in ops:
+    # the op index is a primitive local on purpose: the model checker's
+    # canonical state reads a frame's position from its primitive locals,
+    # and a plain ``for`` over ``ops`` would hide it on the value stack
+    for index in range(len(ops)):
+        name, args = ops[index]
         if name == "execute":
             yield from fn.execute(resolve_duration(fn, args[0]))
         elif name == "delay":

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..errors import SimulationError, VerifyError
 from ..kernel.time import Time
 from .harness import ModelFactory, VerifyOptions, run_once
 from .properties import Invariant, Violation
@@ -57,8 +58,24 @@ class Counterexample:
         }
 
 
-def _violates(violations: Sequence[Violation], property_id: str) -> bool:
-    return any(v.property_id == property_id for v in violations)
+def _preserves(factory: ModelFactory, choices: Sequence[int],
+               property_id: str, options: VerifyOptions,
+               invariants: Sequence[Invariant]) -> bool:
+    """Does the run forced by ``choices`` still violate ``property_id``?
+
+    A trial may force an index the schedule it leads to does not offer;
+    the controller then reports a diverged replay, and such a trial does
+    not preserve the violation.
+    """
+    try:
+        outcome = run_once(factory, tuple(choices), options, invariants)
+    except VerifyError:
+        return False
+    except SimulationError as exc:
+        if isinstance(exc.__cause__, VerifyError):
+            return False
+        raise
+    return any(v.property_id == property_id for v in outcome.violations)
 
 
 def minimize(
@@ -74,8 +91,7 @@ def minimize(
 
     # Pass 1: shortest violating prefix (leftmost continuation).
     for length in range(len(best) + 1):
-        outcome = run_once(factory, tuple(best[:length]), options, invariants)
-        if _violates(outcome.violations, target):
+        if _preserves(factory, best[:length], target, options, invariants):
             best = best[:length]
             break
 
@@ -85,8 +101,7 @@ def minimize(
             continue
         trial = list(best)
         trial[index] = 0
-        outcome = run_once(factory, tuple(trial), options, invariants)
-        if _violates(outcome.violations, target):
+        if _preserves(factory, trial, target, options, invariants):
             best = trial
 
     # Trailing defaults are implied by the replay semantics.

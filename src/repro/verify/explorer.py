@@ -3,8 +3,10 @@
 The DFS is stateless a la Verisoft: each run is identified by its forced
 choice prefix, the recorded trail tells the explorer which positions can
 branch, and canonical-state dedup (:mod:`repro.verify.state`) prunes
-re-visited subtrees.  Exhausting the work stack without hitting any
-bound means *every* admissible schedule within the horizon was covered.
+re-visited subtrees -- a run stops at its first revisited free choice
+point, whose future the state's first visitor already covers.
+Exhausting the work stack without hitting any bound means *every*
+admissible schedule within the horizon was covered.
 
 The randomized strategy resolves every decision with a seeded RNG -- no
 completeness claim, but each run is exactly as replayable as a DFS run,
@@ -130,7 +132,7 @@ def explore_dfs(
     stop_on_first: bool = True,
 ) -> VerifyResult:
     """Exhaustive bounded DFS over the choice tree, with state dedup."""
-    context = ExploreContext()
+    context = ExploreContext(cut_revisits=True)
     stats = VerifyStats()
     started = _time.perf_counter()
     stack: List[Tuple[int, ...]] = [()]

@@ -11,8 +11,8 @@ violations and their exported counterexample traces byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, \
-    Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
+    Sequence, Set, Tuple
 
 from ..errors import ModelError, SimulationError, VerifyError
 from ..kernel.simulator import Simulator
@@ -84,11 +84,40 @@ class RunOutcome:
 
 @dataclass
 class ExploreContext:
-    """Shared dedup state and counters across one exploration."""
+    """Shared dedup state and counters across one exploration.
+
+    Visited states are stored Spin-COLLAPSE style: a canonical state
+    ``(now, component, ...)`` becomes ``(now, id, ...)``, where each id
+    indexes :attr:`components`, the intern table of whole components.
+    Components are compared in full, so the compression is exact.
+    """
 
     visited: Set[tuple] = field(default_factory=set)
+    components: Dict[tuple, int] = field(default_factory=dict)
     dedup_hits: int = 0
     depth_hits: int = 0
+    #: Stop a run at its first revisited free choice point (DFS): the
+    #: state's first visitor already owns everything after it.
+    cut_revisits: bool = False
+
+    def visit(self, state: tuple) -> bool:
+        """Record ``state``; ``False`` when it was already visited."""
+        ids = self.components
+        key = (state[0],) + tuple(
+            [ids.setdefault(part, len(ids)) for part in state[1:]]
+        )
+        if key in self.visited:
+            return False
+        self.visited.add(key)
+        return True
+
+
+class _Revisited(BaseException):
+    """Unwinds a run from its first revisited free choice point.
+
+    A ``BaseException``, so model code catching ``Exception`` cannot
+    swallow it.
+    """
 
 
 def spec_factory(spec: dict) -> ModelFactory:
@@ -161,7 +190,11 @@ def _pre_run_choices(system: System, controller: ChoiceController,
 
 
 def _drive(system: System, options: VerifyOptions) -> Optional[BaseException]:
-    """Run to the horizon; a mutex-misuse ModelError becomes a finding."""
+    """Run to the horizon; a mutex-misuse ModelError becomes a finding.
+
+    A :class:`_Revisited` cut is returned the same way, whether it came
+    straight out of the kernel or wrapped as a process error.
+    """
     try:
         if options.horizon is not None:
             system.run(until=options.horizon)
@@ -169,10 +202,10 @@ def _drive(system: System, options: VerifyOptions) -> Optional[BaseException]:
             system.run()
     except SimulationError as exc:
         cause = exc.__cause__
-        if isinstance(cause, ModelError):
+        if isinstance(cause, (ModelError, _Revisited)):
             return cause  # e.g. unlock of an unowned mutex: RTS-V003
         raise
-    except ModelError as exc:
+    except (ModelError, _Revisited) as exc:
         return exc
     return None
 
@@ -192,6 +225,8 @@ def run_once(
     prefix) probe the canonical pre-choice state: an already-visited
     state marks the point pruned, so the explorer skips its alternatives
     -- the run that first reached the state already owns that subtree.
+    With :attr:`ExploreContext.cut_revisits` the run also stops there:
+    its suffix is the first visitor's too, and the point ends the trail.
     """
     options.validate()
     if controller is None:
@@ -211,18 +246,18 @@ def run_once(
                 if context is not None:
                     context.depth_hits += 1
         elif context is not None and position >= free_from:
-            state = canonical_state(system)
-            if state in context.visited:
+            if not context.visit(canonical_state(system, monitors)):
                 point.pruned = True
                 context.dedup_hits += 1
-            else:
-                context.visited.add(state)
+                if context.cut_revisits:
+                    raise _Revisited()
         monitors.check_invariants(system.sim.now)
 
     controller.probe = probe
     error = _drive(system, options)
     controller.probe = None
-    monitors.finish(error)
+    cut = isinstance(error, _Revisited)
+    monitors.finish(None if cut else error, cut=cut)
     monitors.detach()
     sanitizer = system.sim.sanitizer
     return RunOutcome(

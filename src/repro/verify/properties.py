@@ -134,6 +134,19 @@ class RunMonitors:
         return (self.preemption_bound is not None
                 or self.starvation_bound is not None)
 
+    def windows(self) -> Tuple:
+        """The open windows that decide future RTS-V004/V006/V007 verdicts.
+
+        Empty when neither kind of bound is enabled, so the explorer's
+        canonical state only grows for the runs that need it.
+        """
+        windows: Tuple = ()
+        if self.inversion_bound is not None:
+            windows += (tuple(sorted(self._blocked_since.items())),)
+        if self._scheduling_bounds:
+            windows += (tuple(sorted(self._ready_since.items())),)
+        return windows
+
     # ------------------------------------------------------------------
     # RTS-V004: bounded priority inversion
     # ------------------------------------------------------------------
@@ -252,7 +265,17 @@ class RunMonitors:
     # ------------------------------------------------------------------
     # End-of-run sweep: deadlock, lost wakeups, deadline-miss counters
     # ------------------------------------------------------------------
-    def finish(self, error: Optional[BaseException] = None) -> None:
+    def finish(self, error: Optional[BaseException] = None, *,
+               cut: bool = False) -> None:
+        """Report what the run observed.
+
+        ``cut`` marks a run the explorer stopped at a revisited state: it
+        reports only what it has already observed (watchdog misses so
+        far, inversion windows already past their bound, ``error``) and
+        skips the sweeps that belong to the state's first visitor --
+        horizon READY windows, quiescence deadlock, lost wakeups and
+        final invariants.
+        """
         system = self.system
         sim = system.sim
         now = sim.now
@@ -262,7 +285,7 @@ class RunMonitors:
         self._blocked_since.clear()
         # still-open READY windows count up to the horizon too: a task
         # starved until the end of the run is the canonical violation.
-        if self._scheduling_bounds:
+        if self._scheduling_bounds and not cut:
             self._sweep_ready_windows(now)
         self._ready_since.clear()
 
@@ -280,6 +303,9 @@ class RunMonitors:
                     activation + watchdog.deadline,
                     location=f"task {watchdog.task_name}",
                 ))
+
+        if cut:
+            return
 
         if not sim.pending_activity():
             blocked = sorted(

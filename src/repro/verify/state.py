@@ -1,32 +1,67 @@
 """Canonical simulation states for exploration dedup.
 
 :func:`canonical_state` flattens everything that determines a model's
-*future* behavior into one hashable tuple: simulated time, every kernel
-process's control position (the whole ``yield from`` frame chain plus its
-primitive locals), the RTOS state of every processor and task, each
-relation's memory and wait queue, and the pending timed activity.
+*future* behavior into one flat tuple ``(now, component, ...)``:
+
+* the functions (release time, priority, ``delay_until`` anchor);
+* one component per kernel process: its control position.  A suspended
+  process contributes its whole ``yield from`` frame chain; the process
+  that is *running* when a choice is probed (its generator reports no
+  ``gi_yieldfrom`` mid-step) contributes the live call stack between its
+  generator frame and the choice controller.  Every frame adds its code
+  position and its primitive locals -- which is why the script
+  interpreter keeps its op index in one;
+* one component per processor (running task, ready queue, per-task RTOS
+  state) and one per relation (memory and wait queues);
+* the kernel queues: pending timed entries, each labelled by what it
+  wakes, plus the runnable and delta-cycle queues;
+* with a :class:`~repro.verify.properties.RunMonitors` whose RTS-V004
+  or RTS-V006/V007 bounds are enabled, the open monitor windows those
+  verdicts depend on.
 
 Two runs that reach equal canonical states and make equal future choices
 produce equal futures, so the explorer can prune the second visit --
-that is the entire soundness argument of the dedup, which is why the
-state is stored *in full* rather than hashed: a hash collision would
-silently prune a reachable behavior.
+that is the entire soundness argument of the dedup, which is why states
+are compared *in full* rather than by hash: a hash collision would
+silently prune a reachable behavior.  The explorer stores each state as
+``(now, ids...)`` over an intern table of whole components
+(:class:`repro.verify.harness.ExploreContext`), which keeps that
+exactness while sharing the components most states have in common.
 
-The capture is deliberately conservative: anything it cannot see (e.g. a
-non-primitive local in a hand-written behavior) widens states into
-distinctness, which costs exploration time but never soundness.
+What the capture cannot see merges states that may differ, which is
+unsound: a non-primitive local (an iterator, a list) in a hand-written
+behavior hides its position.  Hand-written behaviors must therefore keep
+their loop state in primitive locals (``for index in range(n)``, not an
+iterator over a list of steps), as the script interpreter does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+import sys
+from typing import Any, List, Optional, Set, Tuple
+
+from ..kernel.process import ProcessBase
+from .choices import ChoiceController
 
 #: Primitive local-variable types included in a frame's signature.
 _PRIMITIVES = (int, str, bool, float, bytes, type(None))
 
+#: The controller frame a probe runs under: frames below it belong to
+#: the verifier, frames above it to the model.
+_CHOOSE_CODE = ChoiceController.choose.__code__
+
+
+def _frame_signature(frame: Any) -> Tuple[Any, ...]:
+    locals_sig = tuple(sorted(
+        (key, value)
+        for key, value in frame.f_locals.items()
+        if isinstance(value, _PRIMITIVES)
+    ))
+    return (frame.f_code.co_name, frame.f_lasti, locals_sig)
+
 
 def _frame_chain(gen: Any) -> Tuple[Any, ...]:
-    """Control-position signature of a generator's ``yield from`` chain."""
+    """Control-position signature of a suspended ``yield from`` chain."""
     signature = []
     seen = 0
     while gen is not None and seen < 32:
@@ -35,23 +70,42 @@ def _frame_chain(gen: Any) -> Tuple[Any, ...]:
         if frame is None:
             signature.append("done")
             break
-        locals_sig = tuple(sorted(
-            (key, value)
-            for key, value in frame.f_locals.items()
-            if isinstance(value, _PRIMITIVES)
-        ))
-        signature.append((frame.f_code.co_name, frame.f_lasti, locals_sig))
+        signature.append(_frame_signature(frame))
         gen = getattr(gen, "gi_yieldfrom", None)
     return tuple(signature)
 
 
+def _live_chain(gen: Any) -> Tuple[Any, ...]:
+    """Control position of the generator executing right now.
+
+    Walks the call stack from here up to the generator's own frame and
+    keeps the model's frames: those above the choice controller call.
+    """
+    top = gen.gi_frame
+    frames: List[Any] = []
+    frame: Any = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is _CHOOSE_CODE:
+            frames.clear()
+        else:
+            frames.append(frame)
+        if frame is top:
+            break
+        frame = frame.f_back
+    return ("running",) + tuple(
+        _frame_signature(f) for f in reversed(frames)
+    )
+
+
 def _process_state(process: Any) -> Tuple[Any, ...]:
     gen = getattr(process, "_gen", None)
-    return (
-        process.name,
-        process.state.name,
-        _frame_chain(gen) if gen is not None else (),
-    )
+    if gen is None:
+        chain: Tuple[Any, ...] = ()
+    elif gen.gi_running:
+        chain = _live_chain(gen)
+    else:
+        chain = _frame_chain(gen)
+    return (process.name, process.state.name, chain)
 
 
 def _task_state(task: Any) -> Tuple[Any, ...]:
@@ -111,50 +165,103 @@ def _relation_state(relation: Any) -> Tuple[Any, ...]:
     return (type(relation).__name__, relation.name, waiters, tuple(extra))
 
 
-def _timed_signature(sim: Any) -> Tuple[Any, ...]:
+def _callback_label(fn: Any) -> Tuple[Any, ...]:
+    """A callback's function plus the names of the objects it acts on.
+
+    Every watchdog expiry is ``DeadlineWatchdog._expired`` and every
+    RTOS delay timer the same closure; the owner's name tells them apart.
+    """
+    owner = getattr(fn, "__self__", None)
+    owners: List[Any] = []
+    if owner is not None:
+        owners.append(owner)
+    else:
+        for cell in getattr(fn, "__closure__", None) or ():
+            try:
+                owners.append(cell.cell_contents)
+            except ValueError:  # an unfilled cell
+                continue
+    names: List[str] = []
+    for owner in owners:
+        name = getattr(owner, "name", None)
+        if name is None:
+            name = getattr(owner, "task_name", None)
+        if isinstance(name, str):
+            names.append(name)
+    return (getattr(fn, "__qualname__", "callback"),) + tuple(names)
+
+
+def _timed_label(entry: Any) -> Any:
+    target = getattr(entry, "event", None)
+    if target is not None:
+        return target.name
+    sensitivity = getattr(entry, "sensitivity", None)
+    if sensitivity is not None:
+        # a pure timed wait uses the waiting process as its sensitivity
+        process = (sensitivity if isinstance(sensitivity, ProcessBase)
+                   else sensitivity.process)
+        return process.name if process is not None else "?"
+    return _callback_label(entry.fn)
+
+
+def _kernel_queues(sim: Any) -> Tuple[Any, ...]:
     entries = []
     for when, seq, entry in sim._timed:
         if getattr(entry, "cancelled", False):
             continue
-        kind = type(entry).__name__
-        target = getattr(entry, "event", None)
-        if target is not None:
-            label = target.name
-        else:
-            sensitivity = getattr(entry, "sensitivity", None)
-            if sensitivity is not None:
-                process = getattr(sensitivity, "process", None)
-                label = process.name if process is not None else "?"
-            else:
-                fn = getattr(entry, "fn", None)
-                label = getattr(fn, "__qualname__", "callback")
-        entries.append((when, seq, kind, label))
+        entries.append((when, seq, type(entry).__name__, _timed_label(entry)))
     entries.sort()
     # the raw heap sequence numbers differ between runs; only the
     # *relative* order of same-instant entries matters for the future
-    return tuple((when, kind, label) for when, _, kind, label in entries)
-
-
-def canonical_state(system: Any) -> Tuple[Any, ...]:
-    """One hashable tuple capturing the model's future-relevant state."""
-    sim = system.sim
+    timed = tuple((when, kind, label) for when, _, kind, label in entries)
+    # A terminated process's termination event only wakes joins already
+    # waiting on it (a later join sees the process terminated and never
+    # waits), so without waiters its pending notification changes nothing.
+    ended: Set[int] = set()
+    if sim._delta_events:
+        ended = {
+            id(p.terminated_event) for p in sim.processes if p.terminated
+        }
     return (
+        timed,
+        tuple(p.name for p in sim._runnable),
+        tuple(
+            e.name for e in sim._delta_events
+            if e._waiters or id(e) not in ended
+        ),
+        tuple(p.name for p in sim._delta_resumes),
+        tuple(_callback_label(fn) for fn in sim._delta_callbacks),
+        tuple(getattr(c, "name", "?") for c in sim._update_requests),
+    )
+
+
+def canonical_state(system: Any,
+                    monitors: Optional[Any] = None) -> Tuple[Any, ...]:
+    """The model's future-relevant state as ``(now, component, ...)``."""
+    sim = system.sim
+    components: List[Any] = [
         sim.now,
         # start_time distinguishes pre-run jitter branches, priority the
         # (rare) dynamically re-prioritized task
         tuple(
-            (name, fn.start_time, fn.priority)
+            (name, fn.start_time, fn.priority,
+             getattr(fn, "_release_anchor", None))
             for name, fn in system.functions.items()
         ),
-        tuple(_process_state(p) for p in sim.processes),
-        tuple(
-            _processor_state(cpu) for cpu in system.processors.values()
-        ),
-        tuple(
-            _relation_state(rel) for rel in system.relations.values()
-        ),
-        _timed_signature(sim),
+    ]
+    components.extend(_process_state(p) for p in sim.processes)
+    components.extend(
+        _processor_state(cpu) for cpu in system.processors.values()
     )
+    components.extend(
+        _relation_state(rel) for rel in system.relations.values()
+    )
+    components.append(_kernel_queues(sim))
+    if monitors is not None:
+        windows = monitors.windows()
+        if windows:
+            components.append(windows)
+    return tuple(components)
 
 
 __all__ = ["canonical_state"]

@@ -264,3 +264,48 @@ class TestSpecValidation:
         system = build_system({"functions": [{"name": "f", "behavior": body}]})
         system.run()
         assert seen == [3 * US]
+
+
+class TestValidatedForm:
+    """Repeated builds of one spec reuse its validated, parsed form."""
+
+    def test_rebuild_is_an_independent_equal_model(self):
+        spec = fig6_spec()
+        first, second = build_system(spec), build_system(spec)
+        assert first.functions["Function_1"] is not \
+            second.functions["Function_1"]
+        assert first.run() == second.run() == 345 * US
+        for name in ("Function_1", "Function_2", "Function_3"):
+            assert first.functions[name].state_durations == \
+                second.functions[name].state_durations, name
+
+    def test_rebuild_skips_validation(self, monkeypatch):
+        import repro.mcse.builder as builder
+
+        spec = fig6_spec()
+        build_system(spec)
+        calls = []
+        real = builder._validate_block
+
+        def validate_block(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builder, "_validate_block", validate_block)
+        build_system(spec)
+        assert calls == []
+        build_system(dict(spec, name="renamed"))  # a different spec
+        assert calls
+
+    def test_an_edited_spec_is_validated_again(self):
+        spec = fig6_spec()
+        build_system(spec)
+        spec["functions"][0]["script"].append(["bogus"])
+        with pytest.raises(BuildError, match="unknown op"):
+            build_system(spec)
+
+    def test_errors_are_never_cached(self):
+        spec = {"functions": [{"name": "f", "script": [["bogus"]]}]}
+        for _ in range(2):
+            with pytest.raises(BuildError, match="unknown op"):
+                build_system(spec)

@@ -1,0 +1,201 @@
+"""Dedup soundness: the canonical state must determine the future.
+
+The DFS prunes a state it has seen before and stops the run there, so a
+key that merges two states with different futures silently loses
+schedules.  These tests pin the key's two former blind spots (the
+running task's position, a script's op index), the specs they made read
+``verified``, and check the reduced DFS against DFS without dedup on a
+seeded family of interval task sets.
+"""
+
+import random
+
+import pytest
+
+import repro.verify.explorer as explorer
+import repro.verify.harness as harness
+from repro.kernel.simulator import Simulator
+from repro.kernel.time import US
+from repro.mcse.builder import build_system, resolve_duration
+from repro.mcse.model import System
+from repro.verify import RTSV002, VerifyOptions, minimize, replay_spec, \
+    spec_factory, verify_spec
+from repro.verify.choices import ChoiceController
+from repro.verify.harness import ExploreContext
+from repro.verify.state import canonical_state
+
+
+def task(name, priority, steps, duration, deadline=None):
+    spec = {"name": name, "priority": priority, "processor": "cpu",
+            "script": [["execute", duration]] * steps}
+    if deadline is not None:
+        spec["deadline"] = deadline
+    return spec
+
+
+def one_cpu(name, *functions):
+    return {"name": name, "relations": [], "processors": [{"name": "cpu"}],
+            "functions": list(functions)}
+
+
+#: t0 misses its deadline only on schedules the old key pruned.
+S70 = one_cpu(
+    "s70",
+    task("t0", 1, 3, "5us..10us", deadline="34us"),
+    task("t1", 1, 2, "3us..4us"),
+)
+#: Minimizing its witness tries prefixes that force a 3-way tie index
+#: where the shorter schedule only offers an exec choice.
+S120 = one_cpu(
+    "s120",
+    task("t0", 1, 2, "2us..7us"),
+    task("t1", 1, 3, "2us..4us"),
+    task("t2", 1, 3, "3us..5us", deadline="26us"),
+    task("t3", 1, 3, "3us..5us"),
+)
+
+
+def states_at_choices(build):
+    """``canonical_state`` at every choice point of the default run."""
+    sim = Simulator("probe")
+    controller = ChoiceController()
+    sim.choice_controller = controller
+    system = build(sim)
+    states = []
+    controller.probe = lambda point: states.append(canonical_state(system))
+    system.run()
+    return states
+
+
+class TestCanonicalKey:
+    def test_running_task_step_changes_the_key(self):
+        def body(fn):
+            for _ in range(2):
+                yield from fn.execute(resolve_duration(fn, (0, 1 * US)))
+
+        def build(sim):
+            system = System("steps", sim=sim)
+            system.processor("cpu").map(
+                system.function("t0", body, priority=1)
+            )
+            return system
+
+        first, second = states_at_choices(build)
+        # both probes happen at t=0 inside t0's step; only the loop
+        # position of the running generator tells them apart
+        assert first[0] == second[0] == 0
+        assert first != second
+
+    def test_script_op_index_changes_the_key(self):
+        spec = one_cpu("ops", task("t0", 1, 2, "0us..1us"))
+        first, second = states_at_choices(
+            lambda sim: build_system(spec, sim=sim)
+        )
+        assert first[0] == second[0] == 0
+        assert first != second
+
+
+class TestRegressions:
+    def test_s70_deadline_miss_is_found_and_replays(self):
+        result = verify_spec(S70)
+        assert result.verdict() == "violated"
+        witness = result.counterexample
+        assert witness.property_id == RTSV002
+        _, _, outcome = replay_spec(S70, witness.choices)
+        assert RTSV002 in {v.property_id for v in outcome.violations}
+
+    def test_minimize_survives_diverging_trial_prefixes(self):
+        choices = (1, 1, 0, 1, 2)
+        _, _, outcome = replay_spec(S120, choices)
+        violation = next(
+            v for v in outcome.violations if v.property_id == RTSV002
+        )
+        witness = minimize(spec_factory(S120), choices, violation,
+                           VerifyOptions())
+        assert witness.property_id == RTSV002
+        _, _, replayed = replay_spec(S120, witness.choices)
+        assert RTSV002 in {v.property_id for v in replayed.violations}
+
+
+# ---------------------------------------------------------------------------
+# Differential: reduced DFS vs DFS without dedup
+# ---------------------------------------------------------------------------
+#: The seeds; 107, 117 and 128 read ``verified`` under the old key.
+SEEDS = range(100, 140)
+#: Unreduced DFS is exponential: compare only where it finishes.
+UNREDUCED_RUNS = 400
+
+
+def interval_family(seed):
+    """2-4 tasks on one CPU, 2-3 identical interval steps, one deadline."""
+    rng = random.Random(seed)
+    functions = []
+    for index in range(rng.randint(2, 4)):
+        lo = rng.choice((2, 3, 5))
+        hi = lo + rng.choice((1, 2, 3, 5))
+        functions.append(task(f"t{index}", rng.choice((1, 2)),
+                              rng.randint(2, 3), f"{lo}us..{hi}us"))
+    rng.choice(functions)["deadline"] = f"{rng.randint(8, 40)}us"
+    return one_cpu(f"family{seed}", *functions)
+
+
+def properties(result):
+    return {v.property_id for v in result.violations}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dedup_agrees_with_unreduced_dfs(seed, monkeypatch):
+    spec = interval_family(seed)
+    reduced = verify_spec(spec, max_runs=100_000)
+    assert reduced.complete or not reduced.ok
+    if reduced.counterexample is not None:
+        _, _, outcome = replay_spec(spec, reduced.counterexample.choices)
+        assert reduced.counterexample.property_id in properties(outcome)
+
+    # a fresh object per probe: no state is ever revisited
+    monkeypatch.setattr(harness, "canonical_state",
+                        lambda *args: (0, object()))
+    unreduced = verify_spec(spec, max_runs=UNREDUCED_RUNS)
+    if unreduced.ok and not unreduced.complete:
+        pytest.skip("unreduced DFS exceeds the run cap")
+    assert reduced.verdict() == unreduced.verdict(), f"seed {seed}"
+    assert properties(reduced) == properties(unreduced), f"seed {seed}"
+
+
+class _ContinuingContext(ExploreContext):
+    """Runs on past revisited states and counts unseen states after one."""
+
+    def __init__(self, **_):
+        super().__init__(cut_revisits=False)
+        self.revisited = False
+        self.unseen_after_revisit = 0
+
+    def visit(self, state):
+        new = super().visit(state)
+        if new and self.revisited:
+            self.unseen_after_revisit += 1
+        self.revisited = self.revisited or not new
+        return new
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cut_runs_lose_nothing_by_stopping(seed, monkeypatch):
+    spec = interval_family(seed)
+    cut = verify_spec(spec, max_runs=100_000)
+
+    contexts = []
+    real_run_once = harness.run_once
+
+    def run_once(*args, **kwargs):
+        context = args[4]
+        context.revisited = False
+        contexts.append(context)
+        return real_run_once(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "ExploreContext", _ContinuingContext)
+    monkeypatch.setattr(explorer, "run_once", run_once)
+    continued = verify_spec(spec, max_runs=100_000)
+    assert contexts and contexts[0].unseen_after_revisit == 0
+    assert continued.verdict() == cut.verdict()
+    assert properties(continued) == properties(cut)
+    assert continued.stats.states == cut.stats.states
