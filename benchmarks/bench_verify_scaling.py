@@ -11,7 +11,12 @@ numbers this harness pins down and emits as
   re-converge);
 * **dedup leverage** -- the canonical-state hit-rate, which is what
   turns the exponential choice tree into the polynomial visited-state
-  set (convergent interleavings are explored once).
+  set (convergent interleavings are explored once);
+* **symmetry leverage** -- the k tasks are copies of one template, so
+  at each tie the explorer schedules one of them
+  (``symmetry_pruned`` counts the rest).  The ``distinct`` series
+  offsets each task's interval bound by its index: no two tasks are
+  interchangeable there, so it measures dedup alone.
 
 The harness also re-proves the two seeded hazards (the crossed-mutex
 deadlock and the interval-driven deadline miss from
@@ -44,31 +49,37 @@ from repro.workloads.fig6 import (
 SCHEMA_VERSION = 1
 
 
-def interval_spec(tasks: int) -> dict:
+def interval_spec(tasks: int, distinct: bool = False) -> dict:
     """k same-priority tasks, two execution intervals each.
 
     Equal priorities make every scheduling decision a tie, and the
     interval endpoints multiply the schedules; crossing sums
     (5+10 == 10+5) make distinct prefixes converge, which is exactly
-    what the canonical-state dedup must exploit.
+    what the canonical-state dedup must exploit.  ``distinct`` widens
+    task i's interval to ``5us..(10+i)us``, so the tasks are no longer
+    interchangeable.
     """
+    def interval(index: int) -> str:
+        return f"5us..{10 + index if distinct else 10}us"
+
     return {
-        "name": f"interval{tasks}",
+        "name": f"interval{tasks}{'-distinct' if distinct else ''}",
         "relations": [],
         "processors": [{"name": "cpu"}],
         "functions": [
             {"name": f"t{index}", "priority": 1, "processor": "cpu",
-             "script": [["execute", "5us..10us"], ["execute", "5us..10us"]]}
+             "script": [["execute", interval(index)]] * 2}
             for index in range(tasks)
         ],
     }
 
 
-def _scaling_entry(tasks: int, rounds: int) -> dict:
+def _scaling_entry(tasks: int, rounds: int, distinct: bool = False) -> dict:
     best = None
     for _ in range(rounds):
         started = time.perf_counter()
-        result = verify_spec(interval_spec(tasks), max_runs=100_000)
+        result = verify_spec(interval_spec(tasks, distinct),
+                             max_runs=100_000)
         wall = time.perf_counter() - started
         assert result.ok and result.complete, (tasks, result.verdict())
         if best is None or wall < best[0]:
@@ -82,6 +93,7 @@ def _scaling_entry(tasks: int, rounds: int) -> dict:
         "states": stats.states,
         "dedup_hits": stats.dedup_hits,
         "dedup_hit_rate": round(stats.dedup_hit_rate, 4),
+        "symmetry_pruned": stats.symmetry_pruned,
         "wall_s": round(wall, 6),
         "states_per_s": round(stats.states / wall, 1) if wall > 0 else 0.0,
         "complete": result.complete,
@@ -114,11 +126,14 @@ def _seeded_entry(spec: dict, expected_property: str) -> dict:
 def measure(smoke: bool = False, rounds: int = 3) -> dict:
     sizes = (2, 3) if smoke else (2, 3, 4, 5)
     scaling = [_scaling_entry(tasks, rounds) for tasks in sizes]
+    distinct = [_scaling_entry(tasks, rounds, distinct=True)
+                for tasks in sizes]
     # the dedup is the whole point: it must actually fire, and its
     # leverage must grow with the state space
-    assert any(entry["dedup_hits"] > 0 for entry in scaling), scaling
-    rates = [entry["dedup_hit_rate"] for entry in scaling]
-    assert rates == sorted(rates), f"dedup leverage shrank: {rates}"
+    for series in (scaling, distinct):
+        assert any(entry["dedup_hits"] > 0 for entry in series), series
+        rates = [entry["dedup_hit_rate"] for entry in series]
+        assert rates == sorted(rates), f"dedup leverage shrank: {rates}"
 
     seeded = {
         "deadlock": _seeded_entry(fig6_crossed_mutex_spec(), "RTS-V001"),
@@ -130,6 +145,7 @@ def measure(smoke: bool = False, rounds: int = 3) -> dict:
         "schema_version": SCHEMA_VERSION,
         "meta": report_meta(smoke, rounds=rounds),
         "scaling": scaling,
+        "distinct": distinct,
         "seeded": seeded,
     }
 
@@ -137,23 +153,27 @@ def measure(smoke: bool = False, rounds: int = 3) -> dict:
 def validate_schema(payload: dict) -> None:
     """Assert the JSON shape downstream tooling (and CI) relies on."""
     check_envelope(payload, SCHEMA_VERSION)
-    scaling = payload["scaling"]
-    assert isinstance(scaling, list) and len(scaling) >= 2, scaling
-    for entry in scaling:
-        check_fields(entry, (
-            ("tasks", int),
-            ("runs", int),
-            ("choice_points", int),
-            ("states", int),
-            ("dedup_hits", int),
-            ("dedup_hit_rate", (int, float)),
-            ("wall_s", (int, float)),
-            ("states_per_s", (int, float)),
-            ("complete", bool),
-        ), context=f"tasks={entry.get('tasks')}")
-        assert 0.0 <= entry["dedup_hit_rate"] <= 1.0, entry
-        assert entry["complete"], entry
-    assert any(entry["dedup_hits"] > 0 for entry in scaling), scaling
+    for series in ("scaling", "distinct"):
+        rows = payload[series]
+        assert isinstance(rows, list) and len(rows) >= 2, rows
+        for entry in rows:
+            check_fields(entry, (
+                ("tasks", int),
+                ("runs", int),
+                ("choice_points", int),
+                ("states", int),
+                ("dedup_hits", int),
+                ("dedup_hit_rate", (int, float)),
+                ("symmetry_pruned", int),
+                ("wall_s", (int, float)),
+                ("states_per_s", (int, float)),
+                ("complete", bool),
+            ), context=f"{series} tasks={entry.get('tasks')}")
+            assert 0.0 <= entry["dedup_hit_rate"] <= 1.0, entry
+            assert entry["complete"], entry
+        assert any(entry["dedup_hits"] > 0 for entry in rows), rows
+    assert all(entry["symmetry_pruned"] == 0
+               for entry in payload["distinct"]), payload["distinct"]
     seeded = payload["seeded"]
     assert set(seeded) == {"deadlock", "deadline_miss"}, seeded
     for label, entry in seeded.items():
@@ -190,12 +210,15 @@ def main(argv=None) -> int:
     validate_schema(payload)
     write_report(payload, args.out)
 
-    print(f"{'tasks':>6} {'runs':>7} {'states':>8} {'dedup':>7} "
-          f"{'states/s':>10}")
-    for entry in payload["scaling"]:
-        print(f"{entry['tasks']:>6} {entry['runs']:>7} "
-              f"{entry['states']:>8} {entry['dedup_hit_rate']:>6.1%} "
-              f"{entry['states_per_s']:>10.0f}")
+    print(f"{'series':>9} {'tasks':>6} {'runs':>7} {'states':>8} "
+          f"{'dedup':>7} {'sym_pruned':>11} {'states/s':>10}")
+    for series in ("scaling", "distinct"):
+        label = "identical" if series == "scaling" else series
+        for entry in payload[series]:
+            print(f"{label:>9} {entry['tasks']:>6} {entry['runs']:>7} "
+                  f"{entry['states']:>8} {entry['dedup_hit_rate']:>6.1%} "
+                  f"{entry['symmetry_pruned']:>11} "
+                  f"{entry['states_per_s']:>10.0f}")
     for label, entry in payload["seeded"].items():
         print(f"seeded {label}: {entry['property']} in {entry['runs']} "
               f"run(s), counterexample {entry['counterexample_choices']} "

@@ -18,6 +18,7 @@ import os
 import sys
 from typing import List, Optional
 
+from .errors import BuildError, VerifyError
 from .kernel.time import format_time, parse_time
 from .mcse.builder import build_system
 from .trace.recorder import TraceRecorder
@@ -448,7 +449,8 @@ def cmd_verify(args) -> int:
         print(
             f"verdict: {result.verdict()} (strategy={result.strategy}, "
             f"runs={stats.runs}, states={stats.states}, "
-            f"dedup={stats.dedup_hit_rate:.0%})"
+            f"dedup={stats.dedup_hit_rate:.0%}, "
+            f"symmetry_pruned={stats.symmetry_pruned})"
         )
         if len(report):
             print(report.format_text())
@@ -974,7 +976,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BuildError, VerifyError) as exc:
+        if args.func not in (cmd_run, cmd_lint, cmd_verify):
+            raise
+        # exit 1 means "violation found" (verify) or "findings" (lint);
+        # a spec or option the command cannot use is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

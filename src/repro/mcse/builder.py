@@ -70,6 +70,7 @@ the optional ``tmo?`` timeouts additionally accept ``None`` /
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import BuildError
@@ -120,39 +121,44 @@ def build_system(spec: Dict, sim=None) -> System:
         system.personality = lowering.personality
         for fn_name, ops in lowering.api_ops.items():
             if fn_name in system.functions:
-                system.functions[fn_name].personality_ops = ops
+                fn = system.functions[fn_name]
+                fn.personality_ops = ops
+                # the name-keyed extra joins the template, so copies of a
+                # task stay interchangeable only while their ops agree
+                if fn.template is not None:
+                    fn.template += "|" + repr(ops)
         return system
     global _last_form
-    key = _form_key(spec)
+    text = repr(spec)
+    key = _form_key(spec, text)
     last = _last_form
     if key is not None and last is not None and last[0] == key:
         return _instantiate(last[1], sim)
-    system, form = _validate_and_build(spec, sim)
+    system, form = _validate_and_build(spec, sim, text)
     if key is not None:
         _last_form = (key, form)
     return system
 
 
-def _form_key(spec: Dict) -> Optional[str]:
+def _form_key(spec: Dict, text: str) -> Optional[str]:
     """The validated-form cache key of ``spec``, or ``None``: not cached.
 
-    ``repr`` determines plain data (dicts, lists, tuples, strings,
-    numbers, booleans, ``None``) exactly.  A spec naming an object by
-    identity (a ``<...>`` repr) or carrying a ``behavior`` callable is
-    elaborated afresh every time.
+    ``text`` is ``repr(spec)``, which determines plain data (dicts,
+    lists, tuples, strings, numbers, booleans, ``None``) exactly.  A spec
+    naming an object by identity (a ``<...>`` repr) or carrying a
+    ``behavior`` callable is elaborated afresh every time.
     """
-    key = repr(spec)
-    if "<" in key or any(
+    if "<" in text or any(
         isinstance(entry, dict) and "behavior" in entry
         for entry in spec.get("functions", ())
     ):
         return None
-    return key
+    return text
 
 
-def _validate_and_build(spec: Dict, sim) -> Tuple[System, Tuple]:
+def _validate_and_build(spec: Dict, sim, text: str) -> Tuple[System, Tuple]:
     """First build of a spec: validate each entry, instantiate it, keep
-    the validated steps."""
+    the validated steps.  ``text`` is ``repr(spec)``."""
     if "config" in spec:
         raise BuildError(
             "spec key 'config' is only meaningful together with "
@@ -176,7 +182,7 @@ def _validate_and_build(spec: Dict, sim) -> Tuple[System, Tuple]:
         ("relations", _build_relation),
         ("processors", _build_processor),
         ("scheduling_domains", _build_domain),
-        ("functions", _build_function),
+        ("functions", partial(_build_function, spec_text=text)),
     ):
         for entry in spec.get(section, ()):
             step = validate(system, dict(entry))
@@ -422,10 +428,17 @@ _FUNCTION_KEYS = frozenset(
 ) | frozenset(_FUNCTION_META_KEYS)
 
 
-def _build_function(system: System, spec: Dict) -> Step:
+def _build_function(system: System, spec: Dict, spec_text: str) -> Step:
     name = spec.pop("name", None)
     if not name:
         raise BuildError(f"function spec missing a name: {spec!r}")
+    # Two functions with equal templates behave alike up to their names:
+    # the model checker's symmetry reduction (repro.verify.state) may
+    # then explore one of them per scheduling tie.  A name quoted anywhere
+    # in the spec besides its own entry is referenced: no template.
+    template = None
+    if "behavior" not in spec and spec_text.count(repr(name)) == 1:
+        template = repr(sorted(spec.items()))
     unknown = set(spec) - _FUNCTION_KEYS
     if unknown:
         raise BuildError(
@@ -472,6 +485,7 @@ def _build_function(system: System, spec: Dict) -> Step:
                         body, **spec)
         for key, value in meta.items():
             setattr(fn, key, value)
+        fn.template = template
         if ops is not None:
             #: The validated op list, kept for static analysis
             #: (:mod:`repro.analyze` reads periodic profiles and lock

@@ -75,22 +75,24 @@ def assert_always(fn: Callable, name: Optional[str] = None) -> Invariant:
 
 def _make_options(options: Optional[VerifyOptions],
                   **kwargs: Any) -> VerifyOptions:
-    if options is not None:
-        if any(value is not None and value is not False
-               for value in kwargs.values()):
-            raise VerifyError(
-                "pass either options= or individual bound keywords, not both"
-            )
-        return options
-    return VerifyOptions(
-        horizon=kwargs.get("horizon"),
-        max_depth=kwargs.get("max_depth") or 64,
-        sanitize=bool(kwargs.get("sanitize")),
-        inversion_bound=kwargs.get("inversion_bound"),
-        preemption_bound=kwargs.get("preemption_bound"),
-        starvation_bound=kwargs.get("starvation_bound"),
-        explore_preempt_modes=bool(kwargs.get("explore_preempt_modes")),
-    )
+    if options is None:
+        max_depth = kwargs.get("max_depth")
+        options = VerifyOptions(
+            horizon=kwargs.get("horizon"),
+            max_depth=64 if max_depth is None else max_depth,
+            sanitize=bool(kwargs.get("sanitize")),
+            inversion_bound=kwargs.get("inversion_bound"),
+            preemption_bound=kwargs.get("preemption_bound"),
+            starvation_bound=kwargs.get("starvation_bound"),
+            explore_preempt_modes=bool(kwargs.get("explore_preempt_modes")),
+        )
+    elif any(value is not None and value is not False
+             for value in kwargs.values()):
+        raise VerifyError(
+            "pass either options= or individual bound keywords, not both"
+        )
+    options.validate()
+    return options
 
 
 def verify_model(

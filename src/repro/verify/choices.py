@@ -39,7 +39,8 @@ from ..errors import VerifyError
 class ChoicePoint:
     """One resolved nondeterministic decision in a run's trail."""
 
-    __slots__ = ("kind", "key", "arity", "taken", "labels", "pruned")
+    __slots__ = ("kind", "key", "arity", "taken", "labels", "pruned",
+                 "alternatives")
 
     def __init__(self, kind: str, key: str, arity: int, taken: int,
                  labels: Tuple[str, ...]) -> None:
@@ -57,6 +58,11 @@ class ChoicePoint:
         #: already visited (or the depth bound was hit): the remaining
         #: alternatives need not be scheduled.
         self.pruned = False
+        #: Set by the probe at a ``tie``/``migrate`` point whose ready
+        #: tasks are partly interchangeable: the indices the explorer
+        #: must schedule, one per class (always starting with 0).
+        #: ``None`` means every alternative.
+        self.alternatives: Optional[Tuple[int, ...]] = None
 
     def describe(self) -> str:
         label = ""

@@ -42,6 +42,9 @@ class VerifyStats:
     states: int = 0
     dedup_hits: int = 0
     depth_hits: int = 0
+    #: Alternatives left unscheduled because an interchangeable ready
+    #: task was scheduled in their place.
+    symmetry_pruned: int = 0
     wall_s: float = 0.0
 
     @property
@@ -61,6 +64,7 @@ class VerifyStats:
             "dedup_hits": self.dedup_hits,
             "dedup_hit_rate": round(self.dedup_hit_rate, 6),
             "depth_hits": self.depth_hits,
+            "symmetry_pruned": self.symmetry_pruned,
             "wall_s": self.wall_s,
             "states_per_second": round(self.states_per_second, 3),
         }
@@ -131,7 +135,13 @@ def explore_dfs(
     max_runs: int = 10_000,
     stop_on_first: bool = True,
 ) -> VerifyResult:
-    """Exhaustive bounded DFS over the choice tree, with state dedup."""
+    """Exhaustive bounded DFS over the choice tree, with state dedup.
+
+    At a scheduling tie among interchangeable ready tasks only one task
+    per class is explored (:attr:`ChoicePoint.alternatives`).
+    """
+    if max_runs < 1:
+        raise VerifyError(f"dfs strategy needs max_runs >= 1, got {max_runs}")
     context = ExploreContext(cut_revisits=True)
     stats = VerifyStats()
     started = _time.perf_counter()
@@ -175,7 +185,9 @@ def explore_dfs(
             point = outcome.trail[position]
             if point.pruned:
                 continue
-            for alternative in range(point.arity - 1, 0, -1):
+            alternatives = point.alternatives or range(point.arity)
+            stats.symmetry_pruned += point.arity - len(alternatives)
+            for alternative in reversed(alternatives[1:]):
                 stack.append(tuple(taken[:position]) + (alternative,))
 
     stats.states = len(context.visited)
@@ -205,7 +217,7 @@ def explore_random(
     """Seeded random sampling of schedules -- the large-space fallback."""
     if runs < 1:
         raise VerifyError(f"random strategy needs runs >= 1, got {runs}")
-    context = ExploreContext()
+    context = ExploreContext(symmetry=False)
     stats = VerifyStats()
     started = _time.perf_counter()
     violations: List[Violation] = []

@@ -21,7 +21,7 @@ from ..mcse.builder import build_system
 from ..mcse.model import System
 from .choices import ChoiceController, ChoicePoint, ScriptedController
 from .properties import Invariant, RunMonitors, Violation
-from .state import canonical_state
+from .state import canonical_state, interchangeable
 
 if TYPE_CHECKING:
     from ..analyze.diagnostics import Report
@@ -99,6 +99,10 @@ class ExploreContext:
     #: Stop a run at its first revisited free choice point (DFS): the
     #: state's first visitor already owns everything after it.
     cut_revisits: bool = False
+    #: Offer one ready task per class of interchangeable ones at free
+    #: ``tie``/``migrate`` points (:attr:`ChoicePoint.alternatives`).
+    #: :func:`run_once` leaves it off under invariants or the sanitizer.
+    symmetry: bool = True
 
     def visit(self, state: tuple) -> bool:
         """Record ``state``; ``False`` when it was already visited."""
@@ -110,6 +114,10 @@ class ExploreContext:
             return False
         self.visited.add(key)
         return True
+
+
+#: Choice kinds whose alternatives are ready tasks, labelled by name.
+_TASK_CHOICES = ("tie", "migrate")
 
 
 class _Revisited(BaseException):
@@ -227,12 +235,20 @@ def run_once(
     -- the run that first reached the state already owns that subtree.
     With :attr:`ExploreContext.cut_revisits` the run also stops there:
     its suffix is the first visitor's too, and the point ends the trail.
+    With :attr:`ExploreContext.symmetry`, a free ``tie``/``migrate``
+    point whose candidates are partly interchangeable also records the
+    one alternative per class the explorer needs
+    (:func:`repro.verify.state.interchangeable`).  Invariants may tell
+    tasks apart by name, and the sanitizer reports per-task findings, so
+    either turns that reduction off.
     """
     options.validate()
     if controller is None:
         controller = ScriptedController(prefix)
     free_from = len(prefix)
     truncated = [False]
+    symmetric = (context is not None and context.symmetry
+                 and not invariants and not options.sanitize)
     system, monitors, _ = _build_instrumented(
         factory, controller, options, invariants
     )
@@ -251,6 +267,10 @@ def run_once(
                 context.dedup_hits += 1
                 if context.cut_revisits:
                     raise _Revisited()
+            elif symmetric and point.kind in _TASK_CHOICES:
+                point.alternatives = interchangeable(
+                    system, monitors, point.labels
+                )
         monitors.check_invariants(system.sim.now)
 
     controller.probe = probe

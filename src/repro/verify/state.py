@@ -33,12 +33,16 @@ unsound: a non-primitive local (an iterator, a list) in a hand-written
 behavior hides its position.  Hand-written behaviors must therefore keep
 their loop state in primitive locals (``for index in range(n)``, not an
 iterator over a list of steps), as the script interpreter does.
+
+:func:`interchangeable` reads the same components, with each task's own
+names renamed away, to find the ready tasks a scheduling tie need only
+try one of (the explorer's symmetry reduction).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..kernel.process import ProcessBase
 from .choices import ChoiceController
@@ -204,16 +208,18 @@ def _timed_label(entry: Any) -> Any:
     return _callback_label(entry.fn)
 
 
-def _kernel_queues(sim: Any) -> Tuple[Any, ...]:
+def _pending_timed(sim: Any) -> List[Tuple[Any, ...]]:
+    """``(when, seq, kind, label)`` of every live timed entry, in order."""
     entries = []
     for when, seq, entry in sim._timed:
         if getattr(entry, "cancelled", False):
             continue
         entries.append((when, seq, type(entry).__name__, _timed_label(entry)))
     entries.sort()
-    # the raw heap sequence numbers differ between runs; only the
-    # *relative* order of same-instant entries matters for the future
-    timed = tuple((when, kind, label) for when, _, kind, label in entries)
+    return entries
+
+
+def _delta_queues(sim: Any) -> Tuple[Any, ...]:
     # A terminated process's termination event only wakes joins already
     # waiting on it (a later join sees the process terminated and never
     # waits), so without waiters its pending notification changes nothing.
@@ -223,7 +229,6 @@ def _kernel_queues(sim: Any) -> Tuple[Any, ...]:
             id(p.terminated_event) for p in sim.processes if p.terminated
         }
     return (
-        timed,
         tuple(p.name for p in sim._runnable),
         tuple(
             e.name for e in sim._delta_events
@@ -233,6 +238,15 @@ def _kernel_queues(sim: Any) -> Tuple[Any, ...]:
         tuple(_callback_label(fn) for fn in sim._delta_callbacks),
         tuple(getattr(c, "name", "?") for c in sim._update_requests),
     )
+
+
+def _kernel_queues(sim: Any) -> Tuple[Any, ...]:
+    # the raw heap sequence numbers differ between runs; only the
+    # *relative* order of same-instant entries matters for the future
+    timed = tuple(
+        (when, kind, label) for when, _, kind, label in _pending_timed(sim)
+    )
+    return (timed,) + _delta_queues(sim)
 
 
 def canonical_state(system: Any,
@@ -264,4 +278,130 @@ def canonical_state(system: Any,
     return tuple(components)
 
 
-__all__ = ["canonical_state"]
+# ---------------------------------------------------------------------------
+# Interchangeable tasks (symmetry reduction)
+# ---------------------------------------------------------------------------
+def _owned_names(fn: Any) -> List[str]:
+    """Every kernel-visible name that belongs to mapped function ``fn``.
+
+    Each starts with the function's name: ``t1``, ``t1.wake``,
+    ``t1.TaskRun``, ``t1.proc``, ...
+    """
+    task = fn.task
+    names = [fn.name, fn.wake_event.name, task.run_event.name,
+             task.preempt_event.name, task.resume_event.name]
+    process = fn.process
+    if process is not None:
+        names += [process.name, process.terminated_event.name]
+    return names
+
+
+def _names_in(value: Any, owners: Dict[str, int], found: Set[int]) -> None:
+    """Add to ``found`` the owner of every name occurring in ``value``."""
+    if type(value) is str:
+        owner = owners.get(value)
+        if owner is not None:
+            found.add(owner)
+    elif type(value) is tuple:
+        for item in value:
+            _names_in(item, owners, found)
+
+
+def _renamed(value: Any, names: Dict[str, str]) -> Any:
+    if type(value) is str:
+        return names.get(value, value)
+    if type(value) is tuple:
+        return tuple(_renamed(item, names) for item in value)
+    return value
+
+
+def interchangeable(system: Any, monitors: Optional[Any],
+                    names: Sequence[str]) -> Optional[Tuple[int, ...]]:
+    """One index per class of interchangeable tasks among ``names``.
+
+    ``names`` are the candidates of a ``tie`` or ``migrate`` choice
+    point, in offer order; the first index of each class represents it.
+    Two candidates are interchangeable when
+
+    * their functions' builder templates are equal and not ``None``;
+    * their name-free function, task and process components are equal;
+    * the pending timed entries naming them are equal as a multiset;
+    * their monitor windows are equal;
+    * no other component names either of them: relations (owner, wait
+      queues, memory), a processor's running task, another process's
+      control position, the runnable and delta-cycle queues.
+
+    Swapping the names of two such tasks then maps the state onto itself
+    up to two orders that change no verdict: the ready queue's (every
+    tie branches over the whole tie set) and that of their same-instant
+    timed entries (a ready task's are its watchdog expiry, a callback
+    touching only its own watchdog).  So the subtree below either choice
+    is a renaming of the other's.  Returns ``None`` when no two
+    candidates are interchangeable.
+    """
+    functions = system.functions
+    by_template: Dict[str, List[int]] = {}
+    for index, name in enumerate(names):
+        fn = functions.get(name)
+        template = getattr(fn, "template", None)
+        if template is not None and fn.task is not None:
+            by_template.setdefault(template, []).append(index)
+    owners: Dict[str, int] = {}
+    for group in by_template.values():
+        if len(group) > 1:
+            for index in group:
+                for owned in _owned_names(functions[names[index]]):
+                    owners[owned] = index
+    if not owners:
+        return None
+
+    sim = system.sim
+    named: Set[int] = set()
+    for relation in system.relations.values():
+        _names_in(_relation_state(relation), owners, named)
+    for cpu in system.processors.values():
+        if cpu.running is not None:
+            _names_in(cpu.running.name, owners, named)
+    _names_in(_delta_queues(sim), owners, named)
+    for process in sim.processes:
+        if process.name not in owners:
+            _names_in(_process_state(process), owners, named)
+    timed: Dict[int, List[Tuple[Any, ...]]] = {}
+    for when, _, kind, label in _pending_timed(sim):
+        found: Set[int] = set()
+        _names_in(label, owners, found)
+        if len(found) == 1:
+            timed.setdefault(found.pop(), []).append((when, kind, label))
+        else:
+            named |= found
+    windows = monitors.windows() if monitors is not None else ()
+    for window in windows:
+        for _, value in window:
+            _names_in(value, owners, named)
+
+    keep: List[int] = []
+    classes: Dict[Tuple[Any, ...], int] = {}
+    for index, name in enumerate(names):
+        fn = functions.get(name)
+        if fn is None or fn.name not in owners or index in named:
+            keep.append(index)
+            continue
+        # a placeholder no name can spell stands in for the task's own
+        rename = {owned: "\0" + owned[len(name):]
+                  for owned in _owned_names(fn)}
+        key = (
+            fn.template,
+            (fn.start_time, fn.priority,
+             getattr(fn, "_release_anchor", None)),
+            _task_state(fn.task)[1:],
+            _renamed(_process_state(fn.process)[1:], rename),
+            tuple(sorted(_renamed(tuple(timed.get(index, ())), rename))),
+            tuple(dict(window).get(name) for window in windows),
+        )
+        if key not in classes:
+            classes[key] = index
+            keep.append(index)
+    return tuple(keep) if len(keep) < len(names) else None
+
+
+__all__ = ["canonical_state", "interchangeable"]

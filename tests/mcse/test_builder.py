@@ -309,3 +309,60 @@ class TestValidatedForm:
         for _ in range(2):
             with pytest.raises(BuildError, match="unknown op"):
                 build_system(spec)
+
+
+class TestTemplates:
+    """The per-function template the model checker's symmetry reads."""
+
+    @staticmethod
+    def spec(*functions, relations=()):
+        return {"name": "templates", "relations": list(relations),
+                "processors": [{"name": "cpu"}],
+                "functions": list(functions)}
+
+    @staticmethod
+    def entry(name, **extra):
+        return dict({"name": name, "priority": 1, "processor": "cpu",
+                     "script": [["execute", "5us"]]}, **extra)
+
+    def templates(self, spec):
+        return {name: fn.template
+                for name, fn in build_system(spec).functions.items()}
+
+    def test_copies_share_a_template_up_to_key_order(self):
+        first = self.entry("a")
+        second = dict(reversed(list(self.entry("b").items())))
+        found = self.templates(self.spec(first, second))
+        assert found["a"] is not None and found["a"] == found["b"]
+        # a rebuild from the validated form stamps the same templates
+        assert self.templates(self.spec(first, second)) == found
+
+    def test_any_other_key_tells_copies_apart(self):
+        found = self.templates(self.spec(
+            self.entry("a"), self.entry("b", deadline="10us"),
+            self.entry("c", priority=2),
+        ))
+        assert len(set(found.values())) == 3
+
+    def test_behavior_and_referenced_names_have_none(self):
+        def body(fn):
+            yield from fn.execute(5 * US)
+
+        found = self.templates(self.spec(
+            self.entry("a"), {"name": "b", "behavior": body},
+            self.entry("c", script=[["write", "q", "a"]]),
+            relations=[{"kind": "queue", "name": "q"}],
+        ))
+        assert found["a"] is None  # the value "a" written to q names it
+        assert found["b"] is None
+        assert found["c"] is not None
+
+    def test_personality_ops_join_the_template(self):
+        tasks = [{"name": name, "priority": 2,
+                  "script": [["vTaskDelay", delay]]}
+                 for name, delay in (("a", "1ms"), ("b", "1ms"),
+                                     ("c", "2ms"))]
+        found = self.templates({"name": "app", "personality": "freertos",
+                                "objects": [], "tasks": tasks})
+        assert found["a"] == found["b"] != found["c"]
+        assert "vTaskDelay" in found["a"]

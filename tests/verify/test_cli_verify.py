@@ -61,3 +61,56 @@ class TestVerifyCommand:
     def test_unknown_target_fails(self):
         with pytest.raises(SystemExit, match="unknown target"):
             main(["verify", "bogus"])
+
+
+class TestUsageErrors:
+    """A spec or option the command cannot use exits 2, not 1: exit 1 is
+    the documented "violation found" code that CI gates on."""
+
+    @pytest.fixture()
+    def scriptless_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "bad",
+            "processors": [{"name": "cpu"}],
+            "functions": [{"name": "t0", "processor": "cpu"}],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ("run", "lint", "verify"))
+    def test_build_error_is_one_line_and_exit_2(self, command,
+                                                scriptless_file, capsys):
+        assert main([command, scriptless_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: function 't0' needs a behavior or a script\n"
+        )
+        assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("argv", (
+        ["--depth", "-1"],
+        ["--depth", "0"],
+        ["--max-runs", "0"],
+        ["--strategy", "random", "--runs", "0"],
+    ))
+    def test_bad_bounds_are_one_line_and_exit_2(self, argv, capsys):
+        assert main(["verify", "fig6", "--horizon", "1ms"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verdict_line_reports_symmetry_pruning(self, tmp_path, capsys):
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps({
+            "name": "twins",
+            "processors": [{"name": "cpu"}],
+            "functions": [
+                {"name": f"t{index}", "priority": 1, "processor": "cpu",
+                 "script": [["execute", "5us..10us"]]}
+                for index in range(3)
+            ],
+        }))
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: verified" in out
+        assert "symmetry_pruned=" in out
+        assert "symmetry_pruned=0)" not in out

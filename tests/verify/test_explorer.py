@@ -120,14 +120,25 @@ class TestResultShape:
         assert payload["verdict"] == "violated"
         assert payload["ok"] is False
         assert {"runs", "choice_points", "states", "dedup_hits",
-                "dedup_hit_rate", "depth_hits", "wall_s",
-                "states_per_second"} <= set(payload["stats"])
+                "dedup_hit_rate", "depth_hits", "symmetry_pruned",
+                "wall_s", "states_per_second"} <= set(payload["stats"])
         assert payload["violations"][0]["property"] == RTSV002
         assert payload["counterexamples"][0]["choices"] == [1]
 
     def test_unknown_strategy_is_rejected(self):
         with pytest.raises(VerifyError):
             verify_spec(fig6_spec(), strategy="bfs")
+
+    @pytest.mark.parametrize("bounds", (
+        {"max_depth": 0},
+        {"max_depth": -1},
+        {"max_runs": 0},
+        {"max_runs": -5},
+        {"strategy": "random", "runs": 0},
+    ))
+    def test_out_of_range_bounds_are_rejected(self, bounds):
+        with pytest.raises(VerifyError):
+            verify_spec(fig6_spec(), horizon=1 * MS, **bounds)
 
     def test_options_and_keywords_are_mutually_exclusive(self):
         from repro.verify import VerifyOptions

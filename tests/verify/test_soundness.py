@@ -5,7 +5,9 @@ key that merges two states with different futures silently loses
 schedules.  These tests pin the key's two former blind spots (the
 running task's position, a script's op index), the specs they made read
 ``verified``, and check the reduced DFS against DFS without dedup on a
-seeded family of interval task sets.
+seeded family of interval task sets.  The symmetry reduction gets the
+same treatment on a family of replicated tasks, against DFS with both
+reductions off, plus unit tests of what must not merge.
 """
 
 import random
@@ -18,11 +20,11 @@ from repro.kernel.simulator import Simulator
 from repro.kernel.time import US
 from repro.mcse.builder import build_system, resolve_duration
 from repro.mcse.model import System
-from repro.verify import RTSV002, VerifyOptions, minimize, replay_spec, \
-    spec_factory, verify_spec
+from repro.verify import RTSV002, VerifyOptions, assert_always, minimize, \
+    replay_spec, spec_factory, verify_spec
 from repro.verify.choices import ChoiceController
 from repro.verify.harness import ExploreContext
-from repro.verify.state import canonical_state
+from repro.verify.state import canonical_state, interchangeable
 
 
 def task(name, priority, steps, duration, deadline=None):
@@ -199,3 +201,135 @@ def test_cut_runs_lose_nothing_by_stopping(seed, monkeypatch):
     assert continued.verdict() == cut.verdict()
     assert properties(continued) == properties(cut)
     assert continued.stats.states == cut.stats.states
+
+
+# ---------------------------------------------------------------------------
+# Symmetry: one ready task per class of interchangeable ones
+# ---------------------------------------------------------------------------
+#: Seeds of the replicated-task family.
+REPLICATED_SEEDS = range(200, 240)
+
+
+def replicated_family(seed):
+    """1-3 templates, each copied 1-3 times, on one CPU.
+
+    Some templates carry a deadline, some lock the one shared mutex
+    around an interval step, so copies contend and may miss.
+    """
+    rng = random.Random(seed)
+    functions = []
+    for template in range(rng.randint(1, 3)):
+        lo = rng.choice((2, 3, 5))
+        step = ["execute", f"{lo}us..{lo + rng.choice((1, 2, 4))}us"]
+        script = [step] * rng.randint(1, 2)
+        if rng.random() < 0.5:
+            script = [["lock", "M"], step, ["unlock", "M"]] + script[1:]
+        base = {"priority": rng.choice((1, 2)), "processor": "cpu",
+                "script": script}
+        if rng.random() < 0.5:
+            base["deadline"] = f"{rng.randint(10, 40)}us"
+        for copy in range(rng.randint(1, 3)):
+            functions.append(dict(base, name=f"f{template}_{copy}"))
+    return {"name": f"replicated{seed}",
+            "relations": [{"kind": "shared", "name": "M"}],
+            "processors": [{"name": "cpu"}], "functions": functions}
+
+
+def unreduced(monkeypatch):
+    """Switch dedup and the symmetry reduction off."""
+    monkeypatch.setattr(harness, "canonical_state",
+                        lambda *args: (0, object()))
+    monkeypatch.setattr(harness, "interchangeable", lambda *args: None)
+
+
+@pytest.mark.parametrize("seed", REPLICATED_SEEDS)
+def test_symmetry_agrees_with_unreduced_dfs(seed, monkeypatch):
+    spec = replicated_family(seed)
+    reduced = verify_spec(spec, max_runs=100_000)
+    assert reduced.complete or not reduced.ok
+    for witness in reduced.counterexamples:
+        _, _, outcome = replay_spec(spec, witness.choices)
+        assert witness.property_id in properties(outcome)
+
+    unreduced(monkeypatch)
+    full = verify_spec(spec, max_runs=UNREDUCED_RUNS)
+    assert full.stats.symmetry_pruned == 0
+    if full.ok and not full.complete:
+        pytest.skip("unreduced DFS exceeds the run cap")
+    assert reduced.verdict() == full.verdict(), f"seed {seed}"
+    assert properties(reduced) == properties(full), f"seed {seed}"
+
+
+def test_the_family_exercises_the_reduction():
+    pruned = [verify_spec(replicated_family(seed)).stats.symmetry_pruned
+              for seed in REPLICATED_SEEDS]
+    assert sum(1 for count in pruned if count) >= len(pruned) // 2
+
+
+def copies(count, extra=None):
+    """``count`` interval tasks from one template, with per-copy extras."""
+    functions = []
+    for index in range(count):
+        spec = task(f"t{index}", 1, 2, "5us..10us")
+        spec.update((extra or {}).get(index, {}))
+        functions.append(spec)
+    return one_cpu("copies", *functions)
+
+
+def pruned(spec, **kwargs):
+    return verify_spec(spec, max_runs=100_000, **kwargs).stats.symmetry_pruned
+
+
+class TestInterchangeable:
+    def test_identical_copies_merge(self):
+        assert pruned(copies(3)) > 0
+
+    @pytest.mark.parametrize("extra", (
+        {1: {"deadline": "500us"}},
+        {1: {"script": [["execute", "5us..10us"]] * 3}},
+    ))
+    def test_copies_that_differ_merge_nothing(self, extra):
+        assert pruned(copies(2, extra)) == 0
+
+    def test_hand_written_behaviors_merge_nothing(self):
+        def body(fn):
+            for _ in range(2):
+                yield from fn.execute(resolve_duration(fn, (5 * US, 10 * US)))
+
+        def factory(sim):
+            system = System("behaviors", sim=sim)
+            cpu = system.processor("cpu")
+            for index in range(3):
+                cpu.map(system.function(f"t{index}", body, priority=1))
+            return system
+
+        result = explorer.explore_dfs(factory, VerifyOptions())
+        assert result.ok and result.complete
+        assert result.stats.symmetry_pruned == 0
+
+    def test_invariants_or_sanitizer_turn_it_off(self):
+        invariant = assert_always(lambda system: True)
+        assert pruned(copies(3), invariants=[invariant]) == 0
+        assert pruned(copies(3), sanitize=True) == 0
+
+    def test_a_mutex_owner_is_not_interchangeable(self):
+        spec = copies(2)
+        spec["relations"] = [{"kind": "shared", "name": "M"}]
+        sim = Simulator("probe")
+        controller = ChoiceController()
+        sim.choice_controller = controller
+        system = build_system(spec, sim=sim)
+        results = []
+
+        def probe(point):
+            if point.kind != "tie":
+                return
+            mutex = system.relations["M"]
+            results.append(interchangeable(system, None, point.labels))
+            mutex.owner = system.functions[point.labels[1]]
+            results.append(interchangeable(system, None, point.labels))
+            mutex.owner = None
+
+        controller.probe = probe
+        system.run()
+        assert results[:2] == [(0,), None]
