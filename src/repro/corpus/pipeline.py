@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..analyze import analyze_system
 from ..campaign.spec import canonical_json
@@ -87,14 +87,20 @@ class PipelineOptions:
 
 
 def lint_stage(spec: Dict) -> Dict:
+    """Static analysis verdict of ``spec``: build it, then
+    :func:`lint_system`."""
+    return lint_system(build_system(spec, sim=Simulator("corpus-lint")))
+
+
+def lint_system(system: Any) -> Dict:
     """Static analysis verdict: sorted error/warning/suppressed rule ids.
 
     Suppressed findings (``lint_suppress`` declarations, behavior
     pragmas) are counted honestly rather than silently dropped, so
     matrix summaries can report how much of a corpus slice relies on
-    muted rules.
+    muted rules.  Linting only reads the model, so the same built
+    system can be simulated afterwards.
     """
-    system = build_system(spec, sim=Simulator("corpus-lint"))
     report = analyze_system(system)
     errors = sorted({d.rule for d in report.diagnostics
                      if d.severity.name == "ERROR"})
@@ -105,17 +111,17 @@ def lint_stage(spec: Dict) -> Dict:
             "suppressed": suppressed}
 
 
-def simulate_stage(spec: Dict, options: PipelineOptions) -> Dict:
+def simulate_system(system: Any, spec: Dict,
+                    options: PipelineOptions) -> Dict:
     """One nominal monitored run: observed violations + end time.
 
-    When the spec declares a ``max_blocking`` budget anywhere, the
-    RTS-V004 bounded-inversion monitor is armed against the tightest
-    declared bound -- the same number the static RTS183 rule checks.
+    ``system`` is ``spec`` built and not yet run.  When the spec
+    declares a ``max_blocking`` budget anywhere, the RTS-V004
+    bounded-inversion monitor is armed against the tightest declared
+    bound -- the same number the static RTS183 rule checks.
     """
     from ..verify.witness import declared_blocking_bound
 
-    sim = Simulator("corpus-sim")
-    system = build_system(spec, sim=sim)
     monitors = RunMonitors(system,
                            inversion_bound=declared_blocking_bound(spec))
     error: Optional[BaseException] = None
@@ -284,7 +290,10 @@ def run_pipeline(spec: Dict, options: Optional[PipelineOptions] = None,
     options = options or PipelineOptions()
     verdict: Dict = {}
     try:
-        verdict["lint"] = lint_stage(spec)
+        # One elaboration serves both stages: linting only reads the
+        # model.  A spec that fails to build crashes in ``lint``.
+        system = build_system(spec, sim=Simulator("corpus"))
+        verdict["lint"] = lint_system(system)
     except ReproError as exc:
         verdict["crash"] = {"stage": "lint", "error": type(exc).__name__,
                             "message": str(exc)}
@@ -292,7 +301,7 @@ def run_pipeline(spec: Dict, options: Optional[PipelineOptions] = None,
     if stages == "lint":
         return verdict
     try:
-        verdict["simulate"] = simulate_stage(spec, options)
+        verdict["simulate"] = simulate_system(system, spec, options)
     except ReproError as exc:
         verdict["crash"] = {"stage": "simulate",
                             "error": type(exc).__name__,
@@ -336,9 +345,10 @@ __all__ = [
     "STATIC_SCHED_RULES",
     "differential_check",
     "lint_stage",
+    "lint_system",
     "merge_static_dynamic",
     "run_pipeline",
-    "simulate_stage",
+    "simulate_system",
     "static_dynamic_accounting",
     "verdict_digest",
     "verify_stage",

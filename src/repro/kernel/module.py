@@ -25,7 +25,8 @@ class Module:
     sim:
         The owning simulator.
     name:
-        Leaf name; the full name is derived from the parent chain.
+        Leaf name; the full name is derived from the parent chain once,
+        at construction.
     parent:
         Optional enclosing module.
     """
@@ -41,6 +42,9 @@ class Module:
         self.sim = sim
         self.basename = name
         self.parent = parent
+        #: Fully qualified hierarchical name, fixed at elaboration
+        #: (nothing reassigns ``parent`` or ``basename``).
+        self.name = name if parent is None else f"{parent.name}.{name}"
         self.children: List["Module"] = []
         self._child_names: Dict[str, "Module"] = {}
         if parent is not None:
@@ -49,13 +53,6 @@ class Module:
     # ------------------------------------------------------------------
     # Hierarchy
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Fully qualified hierarchical name."""
-        if self.parent is None:
-            return self.basename
-        return f"{self.parent.name}.{self.basename}"
-
     def _adopt(self, child: "Module") -> None:
         if child.basename in self._child_names:
             raise ModelError(

@@ -412,10 +412,11 @@ class Process(ProcessBase):
     def _install_wait(self, request: object) -> None:
         sim = self.sim
         self.state = ProcessState.WAITING
-        # Fast paths for the two dominant yield shapes: a raw duration
-        # (int femtoseconds) and a single Event.  Both skip _normalize
-        # and, for timed waits, skip the _Sensitivity allocation -- the
-        # process itself is the timeout target (see _Timeout).
+        # Fast paths for the dominant yield shapes: a raw duration (int
+        # femtoseconds), a single Event and a built WaitEvents.  All skip
+        # _normalize; a raw duration also skips the _Sensitivity
+        # allocation -- the process itself is the timeout target (see
+        # _Timeout).
         cls = request.__class__
         if cls is int:
             if request > 0:
@@ -430,15 +431,16 @@ class Process(ProcessBase):
         if cls is Event:
             self._sensitivity = _Sensitivity._acquire(self, (request,), "any")
             return
-        request = self._normalize(request)
-        if isinstance(request, WaitTime):
-            if request.duration == 0:
-                sim._schedule_delta_resume(self)
+        if cls is not WaitEvents:
+            request = self._normalize(request)
+            if isinstance(request, WaitTime):
+                if request.duration == 0:
+                    sim._schedule_delta_resume(self)
+                    return
+                self._sensitivity = sim._schedule_timeout(
+                    self, sim.now + request.duration
+                )
                 return
-            self._sensitivity = sim._schedule_timeout(
-                self, sim.now + request.duration
-            )
-            return
         assert isinstance(request, WaitEvents)
         sensitivity = _Sensitivity._acquire(self, request.events, request.mode)
         if request.timeout is not None:

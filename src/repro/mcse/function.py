@@ -33,6 +33,11 @@ from .events import EventFlags, EventRelation
 from .queues import MessageQueue
 from .shared import SharedVariable
 
+# EnumType defines __getattr__, so reading a member off its class takes
+# the slow attribute hook on 3.11; the per-state-change path compares
+# against a module constant instead.
+_READY = TaskState.READY
+
 
 class Function(Module):
     """A task of the functional model.
@@ -120,21 +125,30 @@ class Function(Module):
     # State tracking
     # ------------------------------------------------------------------
     def _set_state(self, state: TaskState, reason: Optional[str] = None) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         previous = self.state
         if previous is not None:
             elapsed = now - self._state_since
             self.state_durations[previous] += elapsed
-            if previous is TaskState.READY and self._ready_reason == "preempted":
+            if previous is _READY and self._ready_reason == "preempted":
                 self.preempted_time += elapsed
-        if state is TaskState.READY and reason == "preempted":
-            self.preempted_count += 1
-        self._ready_reason = reason if state is TaskState.READY else None
+        if state is _READY:
+            self._ready_reason = reason
+            if reason == "preempted":
+                self.preempted_count += 1
+        else:
+            self._ready_reason = None
         self.state = state
         self._state_since = now
-        self.sim.record(
-            StateRecord(now, self.name, state, self.processor_name, reason)
-        )
+        if sim.recorder is not None or sim._observers:
+            # Resolved per record, not cached: a scheduling domain may
+            # have migrated the task since the last one.
+            task = self.task
+            sim.record(StateRecord(
+                now, self.name, state,
+                task.processor.name if task is not None else None, reason,
+            ))
 
     def state_ratio(self, state: TaskState, total: Optional[Time] = None) -> float:
         """Fraction of time spent in ``state`` (up to now by default)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import ProcessKilled
-from ..kernel.process import wait_any
+from ..kernel.process import WaitEvents
 from ..kernel.time import Time
 from ..mcse.context import ExecutionContext
 from ..mcse.relations import Relation, Waiter
@@ -127,12 +127,13 @@ class RTOSContext(ExecutionContext):
             return
         remaining = duration
         task.remaining_budget = remaining
+        preempt = (task.preempt_event,)
         while remaining > 0:
             if task.preempt_pending:
                 yield from self._self_preempt(task, pay_sched=True)
                 continue
             start = cpu.sim.now
-            fired = yield wait_any(task.preempt_event, timeout=remaining)
+            fired = yield WaitEvents(preempt, "any", remaining)
             elapsed = cpu.sim.now - start
             remaining -= elapsed
             task.cpu_time += elapsed

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Union
 
 from ..errors import RTOSError
 from ..kernel.time import Time
+from ..trace.records import OverheadKind
 
 #: An overhead component: constant femtoseconds or formula(processor).
 OverheadSpec = Union[int, Callable[["object"], Time]]
@@ -73,6 +74,13 @@ class Overheads:
         self._context_load = self._validate("context_load", context_load)
         self._context_save = self._validate("context_save", context_save)
         self._migration = self._validate("migration", migration)
+        #: Component per kind, for :meth:`duration`'s single lookup.
+        self._by_kind = {
+            OverheadKind.SCHEDULING: self._scheduling,
+            OverheadKind.CONTEXT_LOAD: self._context_load,
+            OverheadKind.CONTEXT_SAVE: self._context_save,
+            OverheadKind.MIGRATION: self._migration,
+        }
 
     @staticmethod
     def _validate(name: str, spec: OverheadSpec) -> OverheadSpec:
@@ -104,17 +112,26 @@ class Overheads:
             )
         return value
 
+    def duration(self, kind: OverheadKind, processor) -> Time:
+        """Duration of the ``kind`` component at this instant on
+        ``processor``: a constant as validated at construction, or the
+        formula's value, checked on every call."""
+        spec = self._by_kind[kind]
+        if spec.__class__ is int:
+            return spec  # type: ignore[return-value]
+        return self._resolve(spec, processor)
+
     def scheduling(self, processor) -> Time:
         """Scheduling duration at this instant on ``processor``."""
-        return self._resolve(self._scheduling, processor)
+        return self.duration(OverheadKind.SCHEDULING, processor)
 
     def context_load(self, processor) -> Time:
         """Context-load duration at this instant on ``processor``."""
-        return self._resolve(self._context_load, processor)
+        return self.duration(OverheadKind.CONTEXT_LOAD, processor)
 
     def context_save(self, processor) -> Time:
         """Context-save duration at this instant on ``processor``."""
-        return self._resolve(self._context_save, processor)
+        return self.duration(OverheadKind.CONTEXT_SAVE, processor)
 
     def migration(self, processor) -> Time:
         """Cross-core migration cost paid on the *target* ``processor``.
@@ -123,7 +140,7 @@ class Overheads:
         between cores; charged once, just before the migrated task's
         context load.  Zero (the default) for single-core models.
         """
-        return self._resolve(self._migration, processor)
+        return self.duration(OverheadKind.MIGRATION, processor)
 
 
 #: A zero-cost RTOS (useful for functional-only simulation).

@@ -377,22 +377,17 @@ class ProcessorBase(Module):
     # ------------------------------------------------------------------
     def _overhead(self, kind: OverheadKind, task: Optional[Task] = None) -> Time:
         """Resolve one overhead component, record it, return its duration."""
-        if kind is OverheadKind.SCHEDULING:
-            duration = self.overheads.scheduling(self)
-        elif kind is OverheadKind.CONTEXT_LOAD:
-            duration = self.overheads.context_load(self)
-        elif kind is OverheadKind.MIGRATION:
-            duration = self.overheads.migration(self)
-        else:
-            duration = self.overheads.context_save(self)
+        duration = self.overheads.duration(kind, self)
         if duration:
             self.overhead_time += duration
-            self.sim.record(
-                OverheadRecord(
-                    self.sim.now, self.name, kind, duration,
-                    task.name if task else None,
+            sim = self.sim
+            if sim.recorder is not None or sim._observers:
+                sim.record(
+                    OverheadRecord(
+                        sim.now, self.name, kind, duration,
+                        task.name if task else None,
+                    )
                 )
-            )
         return duration
 
     # ------------------------------------------------------------------

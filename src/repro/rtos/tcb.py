@@ -35,8 +35,11 @@ class Task:
         self.name = function.name
         #: Static priority (larger = more urgent).
         self.base_priority = function.priority if priority is None else priority
-        #: Transient boost from priority inheritance, or None.
-        self.inherited_priority: Optional[int] = None
+        #: Base priority, possibly boosted by priority inheritance; a
+        #: plain attribute every priority policy reads, kept in sync by
+        #: the :attr:`inherited_priority` setter.
+        self.effective_priority: int = self.base_priority
+        self._inherited_priority: Optional[int] = None
         # --- grant/preempt plumbing (paper §4: TaskRun / TaskPreempt) ---
         sim = processor.sim
         self.run_event = Event(sim, f"{self.name}.TaskRun")
@@ -76,11 +79,17 @@ class Task:
     # Priority
     # ------------------------------------------------------------------
     @property
-    def effective_priority(self) -> int:
-        """Base priority, possibly boosted by priority inheritance."""
-        if self.inherited_priority is not None:
-            return max(self.base_priority, self.inherited_priority)
-        return self.base_priority
+    def inherited_priority(self) -> Optional[int]:
+        """Transient boost from priority inheritance, or None."""
+        return self._inherited_priority
+
+    @inherited_priority.setter
+    def inherited_priority(self, value: Optional[int]) -> None:
+        self._inherited_priority = value
+        self.effective_priority = (
+            self.base_priority if value is None
+            else max(self.base_priority, value)
+        )
 
     @property
     def priority(self) -> int:
@@ -95,10 +104,11 @@ class Task:
 
     def set_state(self, state: TaskState, reason: Optional[str] = None) -> None:
         """Transition the task, enforcing the Figure-2/4 state machine."""
-        current = self.function.state
-        if current is not None:
-            check_transition(self.name, current, state)
-        self.function._set_state(state, reason)
+        function = self.function
+        current = function.state
+        if current is not None and state not in ALLOWED_TRANSITIONS[current]:
+            check_transition(self.name, current, state)  # raises
+        function._set_state(state, reason)
 
     @property
     def preempted_count(self) -> int:

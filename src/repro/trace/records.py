@@ -14,6 +14,12 @@ these records:
 Records are plain frozen dataclasses so they are hashable, comparable and
 cheap; the recorder stores them in arrival order, which equals time order
 because the kernel never goes backwards.
+
+The three enums hash by identity (``object.__hash__``, a C slot) instead
+of :class:`enum.Enum`'s pure-Python ``hash(self._name_)``: members are
+singletons that compare by identity, so the two are equally consistent
+with equality, and the RTOS hot path indexes dicts and sets by these
+members on every task state change and overhead charge.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class TaskState(enum.Enum):
     WAITING_RESOURCE = "waiting_resource"
     TERMINATED = "terminated"
 
+    __hash__ = object.__hash__
+
 
 class AccessKind(enum.Enum):
     """Kinds of relation access drawn as arrows on the TimeLine."""
@@ -51,6 +59,8 @@ class AccessKind(enum.Enum):
     LOCK = "lock"
     UNLOCK = "unlock"
 
+    __hash__ = object.__hash__
+
 
 class OverheadKind(enum.Enum):
     """The RTOS overhead components (paper §3.2 plus SMP migration)."""
@@ -59,6 +69,8 @@ class OverheadKind(enum.Enum):
     SCHEDULING = "scheduling"
     CONTEXT_LOAD = "context_load"
     MIGRATION = "migration"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

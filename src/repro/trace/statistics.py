@@ -113,48 +113,47 @@ def task_stats_from_records(
     records = recorder.of_type(StateRecord)
     if total is None:
         total = max((r.time for r in recorder.records), default=0)
-    per_task: Dict[str, Dict] = {}
+    ready = TaskState.READY
+    processors: Dict[str, Optional[str]] = {}
+    durations: Dict[str, Dict[TaskState, Time]] = {}
+    preempted: Dict[str, Time] = {}
     open_state: Dict[str, StateRecord] = {}
     for record in records:
-        previous = open_state.get(record.task)
-        entry = per_task.setdefault(
-            record.task,
-            {
-                "processor": record.processor,
-                "durations": {},
-                "preempted": 0,
-            },
-        )
-        if record.processor is not None:
-            entry["processor"] = record.processor
-        if previous is not None:
+        task = record.task
+        previous = open_state.get(task)
+        if previous is None:
+            processors[task] = record.processor
+            durations[task] = {}
+            preempted[task] = 0
+        else:
+            if record.processor is not None:
+                processors[task] = record.processor
             elapsed = record.time - previous.time
-            durations = entry["durations"]
-            durations[previous.state] = durations.get(previous.state, 0) + elapsed
-            if previous.state is TaskState.READY and previous.reason == "preempted":
-                entry["preempted"] += elapsed
-        open_state[record.task] = record
+            spent = durations[task]
+            spent[previous.state] = spent.get(previous.state, 0) + elapsed
+            if previous.state is ready and previous.reason == "preempted":
+                preempted[task] += elapsed
+        open_state[task] = record
     for task, record in open_state.items():
         elapsed = total - record.time
         if elapsed > 0:
-            entry = per_task[task]
-            durations = entry["durations"]
-            durations[record.state] = durations.get(record.state, 0) + elapsed
-            if record.state is TaskState.READY and record.reason == "preempted":
-                entry["preempted"] += elapsed
+            spent = durations[task]
+            spent[record.state] = spent.get(record.state, 0) + elapsed
+            if record.state is ready and record.reason == "preempted":
+                preempted[task] += elapsed
     stats = []
-    for task, entry in per_task.items():
-        durations = entry["durations"]
+    for task, processor in processors.items():
+        spent = durations[task]
         stats.append(
             TaskStats(
                 name=task,
-                processor=entry["processor"],
+                processor=processor,
                 total=total,
-                running=durations.get(TaskState.RUNNING, 0),
-                ready=durations.get(TaskState.READY, 0),
-                preempted=entry["preempted"],
-                waiting=durations.get(TaskState.WAITING, 0),
-                waiting_resource=durations.get(TaskState.WAITING_RESOURCE, 0),
+                running=spent.get(TaskState.RUNNING, 0),
+                ready=spent.get(ready, 0),
+                preempted=preempted[task],
+                waiting=spent.get(TaskState.WAITING, 0),
+                waiting_resource=spent.get(TaskState.WAITING_RESOURCE, 0),
             )
         )
     return stats

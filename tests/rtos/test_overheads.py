@@ -17,10 +17,12 @@ class TestOverheadsValidation:
         assert ov.context_save(None) == 0
 
     def test_fixed_values(self):
-        ov = Overheads(scheduling=5 * US, context_load=2 * US, context_save=3 * US)
+        ov = Overheads(scheduling=5 * US, context_load=2 * US, context_save=3 * US,
+                       migration=7 * US)
         assert ov.scheduling(None) == 5 * US
         assert ov.context_load(None) == 2 * US
         assert ov.context_save(None) == 3 * US
+        assert ov.migration(None) == 7 * US
 
     def test_negative_rejected(self):
         with pytest.raises(RTOSError):
