@@ -7,7 +7,7 @@ constraint is how many *runs per second* a campaign sustains.  This
 harness runs the same seeded MPEG-2 Monte-Carlo grid (the paper's §5
 case study) four ways and emits ``BENCH_campaign_scaling.json``:
 
-* ``serial``    -- the plain in-process loop (baseline),
+* ``serial``    -- the in-process Runner, ``workers=1`` (baseline),
 * ``workers_2`` / ``workers_4`` -- process-pool sharding,
 * ``cache``     -- a cold cached run followed by a warm re-run of the
   identical grid, which must be served entirely from

@@ -46,6 +46,11 @@ class Parameter:
     values: Tuple
 
     def __init__(self, name: str, values: Iterable) -> None:
+        if name.startswith("__"):
+            raise ReproError(
+                f"parameter name {name!r} is reserved: names starting "
+                "with '__' carry the campaign runner's private keys"
+            )
         values = tuple(values)
         if not values:
             raise ReproError(f"parameter {name!r} has no values")
@@ -99,34 +104,15 @@ def explore(
     ``now``); ``metrics(config, system)`` extracts the comparison values
     after the run.
 
-    With ``workers > 1`` (or ``cache``/``timeout``/``retries``/
-    ``progress`` set) the cross product is dispatched through the
-    :class:`repro.campaign.Runner`; results come back in configuration
-    order, so the returned list is identical to the serial one.
-    Parallel execution requires ``build`` and ``metrics`` to be
-    picklable (module-level functions).  ``strict=False`` drops failed
-    design points from the returned list instead of raising; use the
+    The cross product is executed by the :class:`repro.campaign.Runner`
+    (in-process at ``workers=1``); results come back in configuration
+    order whatever the worker count.  ``workers > 1`` requires ``build``
+    and ``metrics`` to be picklable (module-level functions).  A failed
+    design point raises :class:`~repro.errors.CampaignError` naming it;
+    ``strict=False`` drops it from the returned list instead -- use the
     Runner directly when the structured failure records are needed.
     """
     configs = configurations(space)
-    use_runner = (
-        workers != 1 or cache is not None or timeout is not None
-        or retries != 0 or progress
-    )
-    if not use_runner:
-        results = []
-        for config in configs:
-            system = build(dict(config))
-            system.run(duration)
-            result = ExplorationResult(
-                config=dict(config),
-                metrics=dict(metrics(dict(config), system)),
-                simulated_time=system.now,
-            )
-            results.append(result)
-            if on_point is not None:
-                on_point(result)
-        return results
 
     from ..campaign import Runner, spec_from_design
     from ..campaign.spec import DURATION_KEY, SIM_NOW_KEY, RunRequest

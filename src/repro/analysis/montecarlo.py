@@ -18,7 +18,6 @@ Example::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -62,11 +61,10 @@ class MetricSample:
 class Campaign(dict):
     """Mapping metric name -> :class:`MetricSample`, plus run count.
 
-    ``failures`` and ``stats`` are populated when the campaign executed
-    through the :mod:`repro.campaign` runner (``workers``/``cache``):
-    ``failures`` holds structured ``RunFailure`` records (only non-empty
-    with ``strict=False``), ``stats`` the runner's execution summary
-    (wall time, cache hits/misses, throughput).
+    :func:`monte_carlo` fills ``failures`` with the runner's structured
+    ``RunFailure`` records (only non-empty with ``strict=False``) and
+    ``stats`` with its execution summary (wall time, cache hits/misses,
+    throughput).
     """
 
     def __init__(self) -> None:
@@ -101,40 +99,18 @@ def monte_carlo(
     runs - 1``, so campaigns are exactly reproducible and trivially
     shardable.
 
-    With ``workers > 1`` (or any of ``cache``/``timeout``/``retries``/
-    ``progress`` set) execution delegates to the
-    :class:`repro.campaign.Runner`: runs are sharded over a process
-    pool, served from the content-addressed result cache when enabled,
-    and retried/timed out individually.  Aggregation always happens in
-    seed order, so the returned :class:`Campaign` is identical to the
-    serial one.  Parallel execution requires ``experiment`` to be
-    picklable (a module-level function); ``strict=False`` collects
-    failed runs on ``campaign.failures`` instead of raising.
+    Execution goes through the :class:`repro.campaign.Runner`: runs
+    stay in-process at ``workers=1`` and are sharded over a process pool
+    otherwise, served from the content-addressed result cache when
+    enabled, and retried/timed out individually.  Aggregation always
+    happens in seed order, so the returned :class:`Campaign` does not
+    depend on the worker count.  ``workers > 1`` requires ``experiment``
+    to be picklable (a module-level function).  A failed run raises
+    :class:`~repro.errors.CampaignError` naming it; ``strict=False``
+    collects failed runs on ``campaign.failures`` instead.
     """
     if runs < 1:
         raise ReproError(f"need at least one run, got {runs}")
-    use_runner = (
-        workers != 1 or cache is not None or timeout is not None
-        or retries != 0 or progress
-    )
-    if not use_runner:
-        started = time.perf_counter()
-        campaign = Campaign()
-        for offset in range(runs):
-            seed = base_seed + offset
-            metrics = experiment(seed)
-            campaign.record(metrics)
-            if on_run is not None:
-                on_run(seed, metrics)
-        wall = time.perf_counter() - started
-        campaign.stats = {
-            "spec": getattr(experiment, "__name__", "experiment"),
-            "runs": runs, "ok": runs, "failed": 0, "cached": 0,
-            "cache_hits": 0, "cache_misses": 0, "workers": 1,
-            "wall_s": round(wall, 6),
-            "runs_per_s": round(runs / wall, 3) if wall > 0 else None,
-        }
-        return campaign
 
     from ..campaign import Runner, spec_from_experiment
 

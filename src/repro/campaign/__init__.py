@@ -6,17 +6,18 @@ those one-off loops into an orchestrated batch engine:
 
 * :class:`ExperimentSpec` -- a picklable build/run/metrics triple with
   deterministic per-run seed derivation (:func:`derive_seed`);
-* :class:`Runner` -- shards runs over ``workers=N`` processes with
-  chunked dispatch, per-run ``timeout`` and bounded ``retries``;
+* :class:`Runner` -- runs in-process at ``workers=1`` or shards runs
+  over ``workers=N`` processes with chunked dispatch, per-run
+  ``timeout`` and bounded ``retries``;
 * :class:`ResultCache` -- a content-hash-keyed JSONL store under
   ``.campaign-cache/`` so unchanged grid cells are never re-simulated;
 * :class:`ProgressReporter` -- live progress/ETA plus a final
   throughput summary.
 
 The high-level drivers :func:`repro.analysis.monte_carlo` and
-:func:`repro.analysis.explore` accept ``workers=`` / ``cache=`` and
-delegate here while keeping their serial return types unchanged; see
-``docs/campaigns.md`` for semantics and guarantees.
+:func:`repro.analysis.explore` always execute through the
+:class:`Runner`, so ``workers=`` / ``cache=`` never change what they
+return; see ``docs/campaigns.md`` for semantics and guarantees.
 """
 
 from .cache import DEFAULT_CACHE_ROOT, ResultCache, resolve_cache, run_key
@@ -29,7 +30,6 @@ from .spec import (
     callable_fingerprint,
     canonical_json,
     derive_seed,
-    mix_seed,
     spec_from_design,
     spec_from_experiment,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "callable_fingerprint",
     "canonical_json",
     "derive_seed",
-    "mix_seed",
     "mpeg2_experiment",
     "resolve_cache",
     "run_key",

@@ -130,8 +130,9 @@ def _deadline(seconds: Optional[float]):
     """Raise :class:`RunTimeout` after ``seconds`` of wall clock.
 
     Uses ``SIGALRM``/``setitimer``, which only works in a main thread on
-    a Unix platform -- exactly where pool workers (and the serial path)
-    execute.  Elsewhere the deadline is silently not enforced.
+    a Unix platform -- exactly where pool workers (and in-process runs
+    at ``workers=1``) execute.  Elsewhere the deadline is silently not
+    enforced.
     """
     usable = (
         seconds is not None
@@ -198,17 +199,13 @@ class Runner:
         Per-run wall-clock limit in seconds (per attempt).
     retries:
         Extra attempts after a failed run (0 = fail fast per run).
-    chunk_size:
-        Runs per pool dispatch; default balances scheduling overhead
-        against tail latency (``~4`` chunks per worker).
     progress:
         ``True`` or a :class:`ProgressReporter` for live status lines.
     """
 
     def __init__(self, *, workers: int = 1, cache=None,
                  timeout: Optional[float] = None, retries: int = 0,
-                 chunk_size: Optional[int] = None, progress=False,
-                 mp_context: Optional[str] = None) -> None:
+                 progress=False) -> None:
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         if retries < 0:
@@ -217,9 +214,7 @@ class Runner:
         self.cache = resolve_cache(cache)
         self.timeout = timeout
         self.retries = retries
-        self.chunk_size = chunk_size
         self.progress = progress
-        self.mp_context = mp_context
 
     # -- public API ----------------------------------------------------
     def execute(self, spec: ExperimentSpec,
@@ -282,12 +277,10 @@ class Runner:
         self._check_picklable(spec, pending[0])
         payloads = [(spec, request, self.timeout, self.retries)
                     for request in pending]
-        chunk = self.chunk_size or max(
-            1, min(32, len(pending) // (self.workers * 4) or 1)
-        )
-        context = multiprocessing.get_context(self.mp_context)
+        # ~4 chunks per worker: scheduling overhead vs tail latency
+        chunk = max(1, min(32, len(pending) // (self.workers * 4) or 1))
         workers = min(self.workers, len(pending))
-        with context.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             for raw in pool.imap_unordered(_pool_entry, payloads,
                                            chunksize=chunk):
                 yield raw

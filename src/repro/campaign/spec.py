@@ -12,9 +12,7 @@ same parameters" across interpreter invocations.
 Seed discipline: runs are numbered ``0 .. n-1`` and seeds derive
 deterministically from ``(base_seed, index)`` via :func:`derive_seed`,
 so a campaign is exactly reproducible and trivially shardable no matter
-how runs are distributed over workers.  :func:`mix_seed` is the
-decorrelated variant for users who want statistically independent
-streams rather than consecutive integers.
+how runs are distributed over workers.
 """
 
 from __future__ import annotations
@@ -41,22 +39,10 @@ def derive_seed(base_seed: int, index: int) -> int:
 
     Linear derivation matches the documented :func:`repro.analysis.
     monte_carlo` contract ("seeds are base_seed .. base_seed + runs -
-    1"), so parallel campaigns aggregate byte-identically to serial
-    ones.
+    1"), so campaigns aggregate byte-identically at every worker
+    count.
     """
     return base_seed + index
-
-
-def mix_seed(base_seed: int, index: int) -> int:
-    """A decorrelated 63-bit seed for run ``index``.
-
-    SHA-256 mixing breaks the arithmetic relationship between
-    consecutive runs; use it when the experiment's RNG is sensitive to
-    correlated seeds (e.g. low-quality generators seeded with
-    neighbouring integers).
-    """
-    digest = hashlib.sha256(f"{base_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _public_params(params: Dict) -> Dict:
@@ -163,8 +149,8 @@ class ExperimentSpec:
     * ``metrics(params, state)`` extracts a dict of result values.
 
     All three callables must be module-level (or ``functools.partial``
-    over module-level) functions to cross process boundaries; the
-    serial path (``workers=1``) has no such restriction.
+    over module-level) functions to cross process boundaries; in-process
+    runs (``workers=1``) have no such restriction.
     """
 
     name: str

@@ -130,14 +130,26 @@ class TestParallelDelegation:
     """monte_carlo(workers=N) must be invisible in the results."""
 
     def test_workers_identical_aggregation(self):
-        serial = monte_carlo(module_level_experiment, runs=8, base_seed=5)
-        parallel = monte_carlo(module_level_experiment, runs=8,
-                               base_seed=5, workers=2)
-        assert repr(dict(serial)) == repr(dict(parallel))
-        assert parallel.stats["workers"] == 2
+        seeds = range(5, 13)
+        reference = {
+            name: [module_level_experiment(seed)[name] for seed in seeds]
+            for name in ("value", "constant")
+        }
+        for workers in (1, 2):
+            campaign = monte_carlo(module_level_experiment, runs=8,
+                                   base_seed=5, workers=workers)
+            assert repr({name: sample.values
+                         for name, sample in campaign.items()}) == \
+                repr(reference)
+            assert campaign.stats["workers"] == workers
 
     def test_serial_path_populates_stats(self):
         campaign = monte_carlo(module_level_experiment, runs=2)
+        assert set(campaign.stats) == {
+            "spec", "runs", "ok", "failed", "cached", "cache_hits",
+            "cache_misses", "workers", "wall_s", "runs_per_s",
+        }
+        assert campaign.stats["spec"] == "module_level_experiment"
         assert campaign.stats["runs"] == 2
         assert campaign.stats["workers"] == 1
         assert campaign.failures == []

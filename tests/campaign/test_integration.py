@@ -1,8 +1,9 @@
 """End-to-end: monte_carlo/explore through the campaign runner.
 
 The acceptance bar for the subsystem: parallel and cached execution
-must be invisible in the aggregated results -- byte-identical to the
-serial path on a seeded grid.
+must be invisible in the aggregated results -- byte-identical to a
+plain loop over the same seeds or configurations, written here so the
+reference stays outside the runner.
 """
 
 import pickle
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from repro.analysis import Parameter, explore, monte_carlo
+from repro.analysis import Parameter, configurations, explore, monte_carlo
 from repro.errors import CampaignError
 from repro.kernel.time import MS, US
 from repro.mcse import System
@@ -59,19 +60,49 @@ def grid_metrics(config, system):
     }
 
 
+def failing_build(config):
+    if config["work"] == 20 * US:
+        raise RuntimeError("work 20us breaks")
+    return grid_build(config)
+
+
 GRID = [
     Parameter("overhead", [0, 2 * US, 5 * US]),
     Parameter("work", [10 * US, 20 * US]),
 ]
 
 
+def reference_campaign(experiment, runs, base_seed=0):
+    """Metric name -> values, by calling ``experiment`` per seed."""
+    values = {}
+    for seed in range(base_seed, base_seed + runs):
+        for name, value in experiment(seed).items():
+            values.setdefault(name, []).append(value)
+    return values
+
+
+def reference_grid(duration=None):
+    """``(config, metrics, now)`` per GRID point: build, run, measure."""
+    points = []
+    for config in configurations(GRID):
+        system = grid_build(dict(config))
+        system.run(duration)
+        points.append((config, grid_metrics(dict(config), system),
+                       system.now))
+    return points
+
+
 class TestMonteCarloParallel:
     def test_workers_byte_identical_to_serial(self):
-        serial = monte_carlo(simulation_experiment, runs=6, base_seed=3)
-        parallel = monte_carlo(simulation_experiment, runs=6, base_seed=3,
-                               workers=2)
-        assert pickle.dumps(dict(serial)) == pickle.dumps(dict(parallel))
-        assert serial.runs == parallel.runs
+        reference = reference_campaign(simulation_experiment, 6,
+                                       base_seed=3)
+        for workers in (1, 2):
+            campaign = monte_carlo(simulation_experiment, runs=6,
+                                   base_seed=3, workers=workers)
+            values = {name: sample.values
+                      for name, sample in campaign.items()}
+            assert pickle.dumps(values) == pickle.dumps(reference)
+            assert campaign.runs == 6
 
     def test_on_run_fires_in_seed_order(self):
         seen = []
@@ -88,13 +119,15 @@ class TestMonteCarloParallel:
         assert warm.stats["cache_hits"] == 4
         assert warm.stats["cache_misses"] == 0
 
-    def test_strict_raises_with_failure_details(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_raises_with_failure_details(self, workers):
         with pytest.raises(CampaignError, match="seed 1 breaks"):
-            monte_carlo(failing_experiment, runs=3, workers=2)
+            monte_carlo(failing_experiment, runs=3, workers=workers)
 
-    def test_keep_going_collects_failures(self):
-        campaign = monte_carlo(failing_experiment, runs=3, workers=2,
-                               strict=False)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_going_collects_failures(self, workers):
+        campaign = monte_carlo(failing_experiment, runs=3,
+                               workers=workers, strict=False)
         assert campaign.runs == 2
         assert campaign["v"].values == [0, 2]
         assert len(campaign.failures) == 1
@@ -107,19 +140,33 @@ class TestExploreParallel:
         return [(r.config, r.metrics, r.simulated_time) for r in results]
 
     def test_workers_byte_identical_to_serial(self):
-        serial = explore(GRID, grid_build, grid_metrics)
-        parallel = explore(GRID, grid_build, grid_metrics, workers=2)
         # repr is order- and type-sensitive but identity-insensitive
         # (pickle bytes differ only through memoized shared ints)
-        assert repr(self._flatten(serial)) == \
-            repr(self._flatten(parallel))
+        reference = repr(reference_grid())
+        for workers in (1, 2):
+            results = explore(GRID, grid_build, grid_metrics,
+                              workers=workers)
+            assert repr(self._flatten(results)) == reference
 
     def test_on_point_fires_in_config_order(self):
         seen = []
         explore(GRID, grid_build, grid_metrics, workers=2,
                 on_point=lambda r: seen.append(r.config))
-        assert seen == [r.config for r in
-                        explore(GRID, grid_build, grid_metrics)]
+        assert seen == configurations(GRID)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_raises_with_failure_details(self, workers):
+        with pytest.raises(CampaignError, match="work 20us breaks"):
+            explore(GRID, failing_build, grid_metrics, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_going_collects_failures(self, workers):
+        results = explore(GRID, failing_build, grid_metrics,
+                          workers=workers, strict=False)
+        assert [r.config for r in results] == [
+            config for config in configurations(GRID)
+            if config["work"] == 10 * US
+        ]
 
     def test_cached_rerun_identical(self, tmp_path):
         cold = explore(GRID, grid_build, grid_metrics, workers=2,

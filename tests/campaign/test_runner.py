@@ -1,5 +1,6 @@
 """Tests for the campaign runner: parallelism, retries, timeouts."""
 
+import multiprocessing.pool
 import time
 
 import pytest
@@ -53,13 +54,22 @@ class TestDeterminism:
         assert [r.metrics for r in parallel.results] == \
             [r.metrics for r in serial.results]
 
-    def test_chunked_dispatch_matches(self):
+    def test_chunked_dispatch_matches(self, monkeypatch):
+        chunks = []
+        imap_unordered = multiprocessing.pool.Pool.imap_unordered
+
+        def spy(pool, func, iterable, chunksize=1):
+            chunks.append(chunksize)
+            return imap_unordered(pool, func, iterable, chunksize)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered",
+                            spy)
         spec = spec_from_experiment(square_experiment)
-        chunked = Runner(workers=2, chunk_size=3).execute(
-            spec, _requests(spec, 7)
-        )
+        # 24 runs over 2 workers: ~4 chunks per worker -> 3 runs a chunk
+        chunked = Runner(workers=2).execute(spec, _requests(spec, 24))
+        assert chunks == [3]
         assert [r.metrics["sq"] for r in chunked.results] == \
-            [i * i for i in range(7)]
+            [i * i for i in range(24)]
 
     def test_more_workers_than_runs(self):
         spec = spec_from_experiment(square_experiment)

@@ -11,7 +11,6 @@ from repro.campaign import (
     callable_fingerprint,
     canonical_json,
     derive_seed,
-    mix_seed,
     spec_from_design,
     spec_from_experiment,
 )
@@ -30,13 +29,6 @@ class TestSeeds:
     def test_derive_seed_is_linear(self):
         assert derive_seed(100, 0) == 100
         assert derive_seed(100, 7) == 107
-
-    def test_mix_seed_deterministic_and_decorrelated(self):
-        assert mix_seed(0, 1) == mix_seed(0, 1)
-        assert mix_seed(0, 1) != mix_seed(0, 2)
-        assert mix_seed(0, 1) != mix_seed(1, 1)
-        # not consecutive integers
-        assert abs(mix_seed(0, 1) - mix_seed(0, 0)) > 1
 
     def test_spec_seed_for_uses_base_seed(self):
         spec = spec_from_experiment(tiny_experiment, base_seed=40)
