@@ -28,7 +28,6 @@ from ..errors import SimulationError
 from .time import Time, format_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .process import _Sensitivity
     from .scheduler import KernelCore
 
 
@@ -66,8 +65,10 @@ class Event:
     def __init__(self, sim: "KernelCore", name: str = "event") -> None:
         self.sim = sim
         self.name = name
-        # dict used as an insertion-ordered set for deterministic wakeups
-        self._waiters: Dict["_Sensitivity", None] = {}
+        # dict used as an insertion-ordered set for deterministic wakeups;
+        # a waiter is a waiting process or a method's static sensitivity,
+        # anything with ``on_event(event)``
+        self._waiters: Dict[object, None] = {}
         self._pending: Optional[object] = None
         #: Number of times this event has triggered (any notification kind).
         self.trigger_count = 0
@@ -85,9 +86,6 @@ class Event:
         """
         if self._pending is not None:
             self.cancel()
-        # immediate notification is a direct trigger (the kernel's
-        # _immediate_notify hook does exactly this; inlined as it is on
-        # the hottest notification path)
         self._trigger()
 
     def notify_delta(self) -> None:
@@ -129,9 +127,9 @@ class Event:
         pending = self._pending
         if pending is None:
             return
-        if pending is _DELTA_PENDING:
-            self.sim._cancel_delta_notify(self)
-        else:
+        # a delta notification is cancelled lazily: the delta phase
+        # re-checks ``_pending`` before triggering
+        if pending is not _DELTA_PENDING:
             pending.cancelled = True
         self._pending = None
 
@@ -166,11 +164,11 @@ class Event:
     # Kernel-internal hooks
     # ------------------------------------------------------------------
     def _trigger(self) -> None:
-        """Fire the event: resolve sensitivities waiting on it.
+        """Fire the event: call ``on_event`` on every waiter.
 
-        Called by the kernel during the appropriate phase.  Waiter
-        callbacks may re-attach (static sensitivity) or attach new
-        sensitivities; iteration therefore happens over a snapshot.
+        Called by the kernel during the appropriate phase.  A waiter's
+        callback detaches it (a process's wait ends), so iteration
+        happens over a snapshot.
         """
         self._pending = None
         self.trigger_count += 1
@@ -180,11 +178,11 @@ class Event:
             return
         if len(waiters) == 1:
             # Fast path: the overwhelmingly common single-waiter case
-            # needs no snapshot list -- grab the sole sensitivity before
-            # its callback can mutate the waiter dict.
-            for sensitivity in waiters:
+            # needs no snapshot list -- grab the sole waiter before its
+            # callback can mutate the waiter dict.
+            for waiter in waiters:
                 break
-            sensitivity.on_event(self)
+            waiter.on_event(self)
             return
         snapshot = list(waiters)
         # Sanitizer hook on the rare multi-waiter branch only: the wake
@@ -192,14 +190,8 @@ class Event:
         sanitizer = getattr(self.sim, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.observe_multi_wake(self, len(snapshot))
-        for sensitivity in snapshot:
-            sensitivity.on_event(self)
-
-    def _attach(self, sensitivity: "_Sensitivity") -> None:
-        self._waiters[sensitivity] = None
-
-    def _detach(self, sensitivity: "_Sensitivity") -> None:
-        self._waiters.pop(sensitivity, None)
+        for waiter in snapshot:
+            waiter.on_event(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = ""

@@ -41,6 +41,7 @@ from typing import (
     Iterable,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -145,124 +146,21 @@ def wait_all(*events: object, timeout: Optional[Time] = None) -> WaitEvents:
 
 
 # ---------------------------------------------------------------------------
-# Sensitivities
+# Wakeup plumbing
 # ---------------------------------------------------------------------------
 class _Timeout:
-    """Cancellable timed-heap entry that resolves a sensitivity.
+    """Cancellable timed-heap entry that ends a process's wait.
 
-    ``sensitivity`` is anything with an ``on_timeout()`` method: a
-    :class:`_Sensitivity` for event waits with a timeout, or the waiting
-    :class:`ProcessBase` itself for pure timed waits (which then need no
-    sensitivity object at all).  In the latter case the entry doubles as
-    the process's cancellation handle, hence :meth:`cancel`.
+    ``process`` is the waiting process itself: it is the timeout target
+    of every timed wait, pure or bounding an event wait.
     """
 
-    __slots__ = ("time", "sensitivity", "cancelled")
+    __slots__ = ("time", "process", "cancelled")
 
-    def __init__(self, time: Time, sensitivity) -> None:
+    def __init__(self, time: Time, process: "ProcessBase") -> None:
         self.time = time
-        self.sensitivity = sensitivity
+        self.process = process
         self.cancelled = False
-
-    def cancel(self) -> None:
-        """Revoke the timeout without waking its target (kill/throw path)."""
-        self.cancelled = True
-
-
-class _Sensitivity:
-    """Dynamic sensitivity binding a suspended process to its wakeup.
-
-    Exactly one sensitivity is live per waiting thread process.  It is
-    resolved by the first matching trigger and then fully detached, so a
-    stale event trigger can never wake a process twice.
-
-    Resolved sensitivities are recycled through the kernel's free-list
-    (see :meth:`_acquire`).  That is safe because resolution detaches
-    the object from every event and from its process before it is
-    pooled, and a pooled object can only be reused from a subsequent
-    ``_install_wait`` -- which never runs while an event-trigger
-    snapshot that might still name this object is being iterated.
-    Cancelled sensitivities (kill/throw) are *not* pooled: a snapshot
-    taken before the cancel may still reference them.
-    """
-
-    __slots__ = ("process", "events", "mode", "remaining", "timeout_entry", "resolved")
-
-    def __init__(
-        self,
-        process: "ProcessBase",
-        events: Tuple[Event, ...],
-        mode: str,
-    ) -> None:
-        self.process = process
-        self.events = events
-        self.mode = mode
-        self.remaining = set(events) if mode == "all" else None
-        self.timeout_entry: Optional[_Timeout] = None
-        self.resolved = False
-        for ev in events:
-            ev._attach(self)
-
-    @staticmethod
-    def _acquire(
-        process: "ProcessBase",
-        events: Tuple[Event, ...],
-        mode: str,
-    ) -> "_Sensitivity":
-        """Pool-aware constructor: reuse a resolved sensitivity if any."""
-        pool = process.sim._free_sensitivities
-        if not pool:
-            return _Sensitivity(process, events, mode)
-        self = pool.pop()
-        self.process = process
-        self.events = events
-        self.mode = mode
-        self.remaining = set(events) if mode == "all" else None
-        self.timeout_entry = None
-        self.resolved = False
-        for ev in events:
-            ev._attach(self)
-        return self
-
-    def on_event(self, event: Event) -> None:
-        if self.resolved:
-            return
-        if self.remaining is None:  # "any" mode
-            self._resolve(event)
-            return
-        remaining = self.remaining
-        remaining.discard(event)
-        event._detach(self)
-        if not remaining:
-            self._resolve(None)
-
-    def on_timeout(self) -> None:
-        if not self.resolved:
-            self._resolve(None)
-
-    def cancel(self) -> None:
-        """Forcibly detach without waking the process (used by kill)."""
-        if self.resolved:
-            return
-        self.resolved = True
-        self._detach_all()
-
-    def _resolve(self, value: Optional[Event]) -> None:
-        self.resolved = True
-        self._detach_all()
-        process = self.process
-        self.process = None
-        self.events = ()
-        self.remaining = None
-        process._on_wait_resolved(value)
-        process.sim._free_sensitivities.append(self)
-
-    def _detach_all(self) -> None:
-        for ev in self.events:
-            ev._detach(self)
-        if self.timeout_entry is not None:
-            self.timeout_entry.cancelled = True
-            self.timeout_entry = None
 
 
 class _StaticSensitivity:
@@ -273,17 +171,34 @@ class _StaticSensitivity:
     def __init__(self, process: "MethodProcess", events: Iterable[Event]) -> None:
         self.process = process
         for ev in events:
-            ev._attach(self)
+            ev._waiters[self] = None
 
     def on_event(self, event: Event) -> None:
         self.process._on_static_trigger(event)
+
+
+# EnumType defines __getattr__, so reading a member off its class takes
+# the slow attribute hook on 3.11; the per-step paths read module globals.
+_RUNNABLE = ProcessState.RUNNABLE
+_RUNNING = ProcessState.RUNNING
+_WAITING = ProcessState.WAITING
+_TERMINATED = ProcessState.TERMINATED
 
 
 # ---------------------------------------------------------------------------
 # Processes
 # ---------------------------------------------------------------------------
 class ProcessBase:
-    """State shared by thread and method processes."""
+    """State shared by thread and method processes.
+
+    A waiting process is its own event waiter: it sits in the
+    ``_waiters`` of every event of its wait and is the target of the
+    wait's :class:`_Timeout`.  The wait lives in three slots --
+    ``_wait_events`` (the events, ``()`` when none), ``_wait_remaining``
+    (the events a ``wait_all`` still needs, else ``None``) and
+    ``_wait_timeout`` (the live timeout entry, else ``None``) -- which
+    are all cleared before the process is made runnable again.
+    """
 
     __slots__ = (
         "sim",
@@ -292,7 +207,9 @@ class ProcessBase:
         "terminated_event",
         "result",
         "exception",
-        "_sensitivity",
+        "_wait_events",
+        "_wait_remaining",
+        "_wait_timeout",
         "step_count",
         "daemon",
     )
@@ -307,20 +224,79 @@ class ProcessBase:
         self.terminated_event = Event(sim, f"{name}.terminated")
         self.result: object = None
         self.exception: Optional[BaseException] = None
-        #: Live wakeup handle while WAITING: a :class:`_Sensitivity` for
-        #: event waits, or the :class:`_Timeout` entry itself for pure
-        #: timed waits.  Either way it has ``cancel()``.
-        self._sensitivity = None
+        self._wait_events: Tuple[Event, ...] = ()
+        self._wait_remaining: Optional[Set[Event]] = None
+        self._wait_timeout: Optional[_Timeout] = None
         #: Number of times the kernel has resumed this process.
         self.step_count = 0
 
     @property
     def terminated(self) -> bool:
-        return self.state is ProcessState.TERMINATED
+        return self.state is _TERMINATED
+
+    # -- the wait ----------------------------------------------------------
+    def _wait_on(self, request: WaitEvents) -> None:
+        """Attach to ``request``'s events and arm its timeout, if any.
+
+        Only the request's fields are copied: the caller may reuse the
+        request object for its next wait.
+        """
+        events = request.events
+        self._wait_events = events
+        for ev in events:
+            ev._waiters[self] = None
+        if request.mode == "all":
+            self._wait_remaining = set(events)
+        timeout = request.timeout
+        if timeout is not None:
+            sim = self.sim
+            self._wait_timeout = sim._schedule_timeout(self, sim.now + timeout)
+
+    def on_event(self, event: Event) -> None:
+        """An event of the current wait fired (called by ``Event._trigger``).
+
+        An event that is not part of the current wait is a stale entry
+        of a trigger snapshot taken before this wait ended; it is ignored.
+        """
+        remaining = self._wait_remaining
+        if remaining is None:  # "any" mode
+            if event not in self._wait_events:
+                return
+            self._end_wait()
+            self._on_wait_resolved(event)
+            return
+        if event not in remaining:
+            return
+        remaining.discard(event)
+        event._waiters.pop(self, None)
+        if not remaining:
+            self._end_wait()
+            self._on_wait_resolved(None)
 
     def on_timeout(self) -> None:
-        """Resolve a pure timed wait (the process is its own sensitivity)."""
+        """The wait's timeout fired (called by the kernel's timed phase)."""
+        self._wait_timeout = None  # fired: nothing left to cancel
+        if self._wait_events:
+            self._end_wait()
         self._on_wait_resolved(None)
+
+    def _end_wait(self) -> None:
+        """Withdraw the wait without waking the process.
+
+        The timeout entry is cancelled *before* the event fields are
+        cleared, so no path can leave an armed timeout behind a wait
+        that already ended (it would wake the process a second time).
+        """
+        timeout = self._wait_timeout
+        if timeout is not None:
+            timeout.cancelled = True
+            self._wait_timeout = None
+        events = self._wait_events
+        if events:
+            for ev in events:
+                ev._waiters.pop(self, None)
+            self._wait_events = ()
+            self._wait_remaining = None
 
     def _on_wait_resolved(self, value: Optional[Event]) -> None:
         raise NotImplementedError
@@ -330,7 +306,7 @@ class ProcessBase:
 
     def _terminate(self, result: object = None,
                    exception: Optional[BaseException] = None) -> None:
-        self.state = ProcessState.TERMINATED
+        self.state = _TERMINATED
         self.result = result
         self.exception = exception
         self.terminated_event.notify_delta()
@@ -374,20 +350,12 @@ class Process(ProcessBase):
     # -- kernel interface ------------------------------------------------
     def _on_wait_resolved(self, value: Optional[Event]) -> None:
         # inlined _make_runnable: this is the per-wakeup hot path
-        self._sensitivity = None
         self._send_value = value
-        self.state = ProcessState.RUNNABLE
-        self.sim._runnable.append(self)
-
-    def on_timeout(self) -> None:
-        """Resolve a pure timed wait (the process is its own sensitivity)."""
-        self._sensitivity = None
-        self._send_value = None
-        self.state = ProcessState.RUNNABLE
+        self.state = _RUNNABLE
         self.sim._runnable.append(self)
 
     def _step(self) -> None:
-        self.state = ProcessState.RUNNING
+        self.state = _RUNNING
         self.step_count += 1
         throw = self._pending_throw
         self._pending_throw = None
@@ -411,16 +379,16 @@ class Process(ProcessBase):
 
     def _install_wait(self, request: object) -> None:
         sim = self.sim
-        self.state = ProcessState.WAITING
+        self.state = _WAITING
         # Fast paths for the dominant yield shapes: a raw duration (int
         # femtoseconds), a single Event and a built WaitEvents.  All skip
-        # _normalize; a raw duration also skips the _Sensitivity
-        # allocation -- the process itself is the timeout target (see
-        # _Timeout).
+        # _normalize.
         cls = request.__class__
         if cls is int:
             if request > 0:
-                self._sensitivity = sim._schedule_timeout(self, sim.now + request)
+                self._wait_timeout = sim._schedule_timeout(
+                    self, sim.now + request
+                )
             elif request == 0:
                 sim._schedule_delta_resume(self)
             else:
@@ -429,7 +397,8 @@ class Process(ProcessBase):
                 )
             return
         if cls is Event:
-            self._sensitivity = _Sensitivity._acquire(self, (request,), "any")
+            self._wait_events = (request,)
+            request._waiters[self] = None
             return
         if cls is not WaitEvents:
             request = self._normalize(request)
@@ -437,17 +406,11 @@ class Process(ProcessBase):
                 if request.duration == 0:
                     sim._schedule_delta_resume(self)
                     return
-                self._sensitivity = sim._schedule_timeout(
+                self._wait_timeout = sim._schedule_timeout(
                     self, sim.now + request.duration
                 )
                 return
-        assert isinstance(request, WaitEvents)
-        sensitivity = _Sensitivity._acquire(self, request.events, request.mode)
-        if request.timeout is not None:
-            sensitivity.timeout_entry = sim._schedule_timeout(
-                sensitivity, sim.now + request.timeout
-            )
-        self._sensitivity = sensitivity
+        self._wait_on(request)  # type: ignore[arg-type]
 
     def _normalize(self, request: object) -> WaitRequest:
         if isinstance(request, WaitRequest):
@@ -475,10 +438,8 @@ class Process(ProcessBase):
         if self.terminated:
             return
         self._pending_throw = ProcessKilled()
-        if self._sensitivity is not None:
-            self._sensitivity.cancel()
-            self._sensitivity = None
-        if self.state is not ProcessState.RUNNABLE:
+        self._end_wait()
+        if self.state is not _RUNNABLE:
             self.sim._make_runnable(self)
 
     def throw(self, exception: BaseException) -> None:
@@ -486,10 +447,8 @@ class Process(ProcessBase):
         if self.terminated:
             raise ProcessError(f"cannot throw into terminated process {self.name}")
         self._pending_throw = exception
-        if self._sensitivity is not None:
-            self._sensitivity.cancel()
-            self._sensitivity = None
-        if self.state is not ProcessState.RUNNABLE:
+        self._end_wait()
+        if self.state is not _RUNNABLE:
             self.sim._make_runnable(self)
 
     def join_request(self) -> WaitRequest:
@@ -522,7 +481,7 @@ class MethodProcess(ProcessBase):
         self._queued = False
         self._dynamic_active = False
         if not initialize:
-            self.state = ProcessState.WAITING
+            self.state = _WAITING
 
     def _on_static_trigger(self, event: Event) -> None:
         if self._dynamic_active or self.terminated:
@@ -530,7 +489,6 @@ class MethodProcess(ProcessBase):
         self._enqueue()
 
     def _on_wait_resolved(self, value: Optional[Event]) -> None:
-        self._sensitivity = None
         self._dynamic_active = False
         self._enqueue()
 
@@ -542,7 +500,7 @@ class MethodProcess(ProcessBase):
 
     def _step(self) -> None:
         self._queued = False
-        self.state = ProcessState.RUNNING
+        self.state = _RUNNING
         self.step_count += 1
         try:
             request = self.fn()
@@ -551,7 +509,7 @@ class MethodProcess(ProcessBase):
             self.sim._on_process_error(self, exc)
             return
         if request is None:
-            self.state = ProcessState.WAITING
+            self.state = _WAITING
             return
         # next_trigger override: dynamic sensitivity masks static for one shot
         if isinstance(request, int) and not isinstance(request, bool):
@@ -560,23 +518,18 @@ class MethodProcess(ProcessBase):
             request = WaitEvents((request,), "any", None)
         if isinstance(request, WaitTime):
             self._dynamic_active = True
-            self.state = ProcessState.WAITING
+            self.state = _WAITING
             if request.duration == 0:
                 self.sim._schedule_delta_resume(self)
                 return
-            self._sensitivity = self.sim._schedule_timeout(
+            self._wait_timeout = self.sim._schedule_timeout(
                 self, self.sim.now + request.duration
             )
             return
         if isinstance(request, WaitEvents):
             self._dynamic_active = True
-            self.state = ProcessState.WAITING
-            sensitivity = _Sensitivity._acquire(self, request.events, request.mode)
-            if request.timeout is not None:
-                sensitivity.timeout_entry = self.sim._schedule_timeout(
-                    sensitivity, self.sim.now + request.timeout
-                )
-            self._sensitivity = sensitivity
+            self.state = _WAITING
+            self._wait_on(request)
             return
         raise ProcessError(
             f"{self.name}: method returned {request!r}; expected a wait "

@@ -28,7 +28,15 @@ from typing import List, Optional, Tuple
 
 from ..errors import DeadlockError, SchedulerError, SimulationError
 from .event import Event, _DELTA_PENDING, _TimedNotification
-from .process import MethodProcess, Process, ProcessBase, ProcessState, _Timeout
+from .process import (
+    _RUNNABLE,
+    _TERMINATED,
+    _WAITING,
+    MethodProcess,
+    Process,
+    ProcessBase,
+    _Timeout,
+)
 from .time import Time, format_time
 
 
@@ -50,8 +58,8 @@ class KernelCore:
     :class:`_Timeout` heap entries through free-lists.  An entry is only
     recycled after it has been popped from the timed heap *and* every
     external reference to it has been dropped (``Event._pending`` is
-    cleared by ``_trigger``/``cancel``; ``ProcessBase._sensitivity`` is
-    cleared on wait resolution), so a pooled object can never be observed
+    cleared by ``_trigger``/``cancel``; ``ProcessBase._wait_timeout`` is
+    cleared when the wait ends), so a pooled object can never be observed
     through a stale handle.
     """
 
@@ -75,7 +83,6 @@ class KernelCore:
         "_max_delta_cycles",
         "_free_notifications",
         "_free_timeouts",
-        "_free_sensitivities",
     )
 
     def __init__(self, max_delta_cycles: int = 1_000_000) -> None:
@@ -101,11 +108,9 @@ class KernelCore:
         self._stop_requested = False
         self._pending_error: Optional[Tuple[ProcessBase, BaseException]] = None
         self._max_delta_cycles = max_delta_cycles
-        # Free-lists recycling the high-churn kernel objects: the two
-        # timed-heap entry kinds, plus resolved wait sensitivities.
+        # Free-lists recycling the two high-churn timed-heap entry kinds.
         self._free_notifications: List[_TimedNotification] = []
         self._free_timeouts: List[_Timeout] = []
-        self._free_sensitivities: List = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -159,13 +164,6 @@ class KernelCore:
     def _schedule_delta_notify(self, event: Event) -> None:
         self._delta_events.append(event)
 
-    def _cancel_delta_notify(self, event: Event) -> None:
-        # Lazy cancellation: the delta phase re-checks ``event._pending``.
-        pass
-
-    def _immediate_notify(self, event: Event) -> None:
-        event._trigger()
-
     def schedule_callback(self, delay: Time, fn) -> _TimedCallback:
         """Invoke ``fn()`` after ``delay`` simulated time.
 
@@ -189,15 +187,15 @@ class KernelCore:
         """
         self._delta_callbacks.append(fn)
 
-    def _schedule_timeout(self, sensitivity, when: Time) -> _Timeout:
+    def _schedule_timeout(self, process: ProcessBase, when: Time) -> _Timeout:
         pool = self._free_timeouts
         if pool:
             entry = pool.pop()
             entry.time = when
-            entry.sensitivity = sensitivity
+            entry.process = process
             entry.cancelled = False
         else:
-            entry = _Timeout(when, sensitivity)
+            entry = _Timeout(when, process)
         self._push_timed(when, entry)
         return entry
 
@@ -205,7 +203,7 @@ class KernelCore:
         self._delta_resumes.append(process)
 
     def _make_runnable(self, process: ProcessBase) -> None:
-        process.state = ProcessState.RUNNABLE
+        process.state = _RUNNABLE
         self._runnable.append(process)
 
     def _request_update(self, channel) -> None:
@@ -216,20 +214,15 @@ class KernelCore:
     def _register_process(self, process: ProcessBase) -> None:
         self.processes.append(process)
         if isinstance(process, MethodProcess):
-            if process.state is ProcessState.WAITING:
+            if process.state is _WAITING:
                 return  # dont_initialize: wait for a static trigger
             process._enqueue()
             return
-        if self._started:
-            self._make_runnable(process)
-        else:
-            # queued for the initialization phase at the start of run()
-            self._make_runnable(process)
+        # before the first run() this queues it for the initialization phase
+        self._make_runnable(process)
 
     def _on_process_terminated(self, process: ProcessBase) -> None:
-        if process._sensitivity is not None:
-            process._sensitivity.cancel()
-            process._sensitivity = None
+        process._end_wait()
 
     def _on_process_error(self, process: ProcessBase, exc: BaseException) -> None:
         self._pending_error = (process, exc)
@@ -295,7 +288,7 @@ class KernelCore:
                 if isinstance(p, Process)
                 and not p.daemon
                 and not p.terminated
-                and p.state is ProcessState.WAITING
+                and p.state is _WAITING
             ]
             if blocked:
                 raise DeadlockError(
@@ -306,13 +299,13 @@ class KernelCore:
 
     def _run_loop(self, end: Optional[Time]) -> None:
         delta_guard = 0
-        # Hot-loop hoists: the phase queues and state sentinel are stable
-        # objects (the loop snapshots-and-clears them rather than
+        # Hot-loop hoists: the phase queues and state sentinels are
+        # stable objects (the loop snapshots-and-clears them rather than
         # rebinding), so bind them (and the deque's popleft) once.
         runnable = self._runnable
         popleft = runnable.popleft
-        RUNNABLE = ProcessState.RUNNABLE
-        TERMINATED = ProcessState.TERMINATED
+        RUNNABLE = _RUNNABLE
+        TERMINATED = _TERMINATED
         # The sanitizer is installed once at construction (or never), so
         # it can be hoisted; ``None`` keeps the hot loop hook-free.
         sanitizer = getattr(self, "sanitizer", None)
@@ -410,7 +403,7 @@ class KernelCore:
                 entry.event = None
                 free_notifications.append(entry)
             elif cls is _Timeout:
-                entry.sensitivity = None
+                entry.process = None
                 free_timeouts.append(entry)
         if not timed:
             return False
@@ -433,8 +426,8 @@ class KernelCore:
                 free_notifications.append(entry)
             elif cls is _Timeout:
                 if not entry.cancelled:
-                    entry.sensitivity.on_timeout()
-                entry.sensitivity = None
+                    entry.process.on_timeout()
+                entry.process = None
                 free_timeouts.append(entry)
             elif cls is _TimedCallback:
                 if not entry.cancelled:

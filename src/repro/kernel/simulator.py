@@ -26,7 +26,7 @@ use looks like::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Iterable, Optional, Union
+from typing import Callable, Dict, Generator, Iterable, Optional, Tuple, Union
 
 from .event import Event
 from .process import MethodProcess, Process, ThreadBody
@@ -42,6 +42,7 @@ class Simulator(KernelCore):
         "_names",
         "recorder",
         "_observers",
+        "_emit",
         "sanitizer",
         "choice_controller",
     )
@@ -56,12 +57,16 @@ class Simulator(KernelCore):
         super().__init__(max_delta_cycles=max_delta_cycles)
         self.name = name
         self._names: Dict[str, int] = {}
-        #: Optional :class:`repro.trace.recorder.TraceRecorder`; layers
-        #: above the kernel emit records through this when set.
+        #: Optional :class:`repro.trace.recorder.TraceRecorder`, set by
+        #: :meth:`set_recorder`.
         self.recorder = None
         #: Online observers called with every emitted record (used by
         #: runtime monitors such as the deadline watchdog).
-        self._observers: list = []
+        self._observers: Tuple[Callable, ...] = ()
+        #: The resolved emission sink: ``None`` while nothing listens,
+        #: else one callable taking a record.  Emission sites check it
+        #: once and build their record only when it is set.
+        self._emit: Optional[Callable] = None
         #: Opt-in nondeterminism sanitizer (``sanitize=True``); ``None``
         #: by default so the kernel hooks cost one attribute check.
         self.sanitizer = None
@@ -136,8 +141,12 @@ class Simulator(KernelCore):
         return format_time(self.now if t is None else t)
 
     def set_recorder(self, recorder) -> None:
-        """Attach a trace recorder (see :mod:`repro.trace.recorder`)."""
+        """Attach a trace recorder (see :mod:`repro.trace.recorder`).
+
+        The recorder's ``limit`` is read here: set it before attaching.
+        """
         self.recorder = recorder
+        self._resolve_emit()
 
     def add_observer(self, fn) -> None:
         """Register a callable invoked with every emitted trace record.
@@ -145,22 +154,44 @@ class Simulator(KernelCore):
         Observers run synchronously at emission time (inside whatever
         process caused the record), so they can react *during* the
         simulation -- e.g. arm a watchdog timer.  They must not block.
+        An observer added or removed while a record is being emitted
+        takes effect from the next record on.
         """
-        self._observers.append(fn)
+        self._observers += (fn,)
+        self._resolve_emit()
 
     def remove_observer(self, fn) -> None:
         """Unregister a previously added observer (no-op if absent)."""
-        try:
-            self._observers.remove(fn)
-        except ValueError:
-            pass
+        observers = self._observers
+        if fn in observers:
+            index = observers.index(fn)
+            self._observers = observers[:index] + observers[index + 1:]
+            self._resolve_emit()
+
+    def _resolve_emit(self) -> None:
+        recorder = self.recorder
+        store = None
+        if recorder is not None:
+            # a bounded recorder counts what it drops, so only an
+            # unbounded one can take records straight into its list
+            store = (recorder.records.append if recorder.limit is None
+                     else recorder.add)
+        if not self._observers:
+            self._emit = store
+            return
+        sinks = self._observers if store is None else (store,) + self._observers
+
+        def fan_out(record) -> None:
+            for sink in sinks:
+                sink(record)
+
+        self._emit = fan_out
 
     def record(self, record) -> None:
         """Emit a trace record to the recorder and all observers."""
-        if self.recorder is not None:
-            self.recorder.add(record)
-        for observer in self._observers:
-            observer(record)
+        emit = self._emit
+        if emit is not None:
+            emit(record)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

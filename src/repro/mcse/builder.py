@@ -63,8 +63,10 @@ tool would emit).  Supported ops:
 ``["set_preemptive", bool]``   toggle the mapped processor's mode
 =============================  =============================================
 
-Durations accept anything :func:`repro.kernel.time.parse_time` does;
-the optional ``tmo?`` timeouts additionally accept ``None`` /
+Durations accept anything :func:`repro.kernel.time.parse_time` does
+and must not be negative; a bad one (both bounds of an interval
+included) is a :class:`BuildError` naming the op's path, raised at
+build time.  The optional ``tmo?`` timeouts additionally accept ``None`` /
 ``"forever"`` (block indefinitely) and ``0`` (non-blocking poll).
 """
 
@@ -543,7 +545,7 @@ def _script_behavior(system: System, ops: List) -> Callable[[Function], Generato
     """The behavior interpreting already validated ``ops`` on ``system``."""
 
     def behavior(fn: Function) -> Generator:
-        yield from _run_block(system, fn, ops)
+        return _run_block(system, fn, ops)
 
     behavior.script_ops = ops
     return behavior
@@ -565,7 +567,7 @@ def _validate_block(system: System, block: List, path: str) -> List:
         elif name in ("delay", "delay_until"):
             if len(args) != 1:
                 raise BuildError(f"{where}: {name} takes one duration")
-            args[0] = parse_time(args[0])
+            args[0] = _parse_duration(args[0], where)
             if name == "delay_until" and args[0] <= 0:
                 raise BuildError(f"{where}: delay_until period must be > 0")
         elif name in ("wait", "read"):
@@ -642,16 +644,18 @@ def parse_duration_range(value, where: str):
     """
     if isinstance(value, str) and ".." in value:
         lo_text, _, hi_text = value.partition("..")
-        lo, hi = parse_time(lo_text), parse_time(hi_text)
+        lo = _parse_duration(lo_text, where)
+        hi = _parse_duration(hi_text, where)
     elif isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise BuildError(
                 f"{where}: a duration interval takes two bounds, "
                 f"got {value!r}"
             )
-        lo, hi = parse_time(value[0]), parse_time(value[1])
+        lo = _parse_duration(value[0], where)
+        hi = _parse_duration(value[1], where)
     else:
-        return parse_time(value)
+        return _parse_duration(value, where)
     if lo > hi:
         raise BuildError(f"{where}: empty duration range {value!r} (lo > hi)")
     return lo if lo == hi else (lo, hi)
@@ -674,6 +678,17 @@ def resolve_duration(fn: Function, duration):
         "exec", fn.name, 2, labels=(format_time(lo), format_time(hi))
     )
     return hi if index else lo
+
+
+def _parse_duration(value, where: str) -> int:
+    """Parse a script duration: a non-negative time."""
+    try:
+        duration = parse_time(value)
+    except (TypeError, ValueError) as exc:
+        raise BuildError(f"{where}: bad duration {value!r}: {exc}") from None
+    if duration < 0:
+        raise BuildError(f"{where}: negative duration {value!r}")
+    return duration
 
 
 def _parse_timeout(value, where: str):
@@ -713,10 +728,12 @@ def _run_block(system: System, fn: Function, ops: List) -> Generator:
     # and a plain ``for`` over ``ops`` would hide it on the value stack
     for index in range(len(ops)):
         name, args = ops[index]
+        # durations were checked non-negative at build time, so execute
+        # and delay go straight to the execution context
         if name == "execute":
-            yield from fn.execute(resolve_duration(fn, args[0]))
+            yield from fn.context.execute(fn, resolve_duration(fn, args[0]))
         elif name == "delay":
-            yield from fn.delay(args[0])
+            yield from fn.context.delay(fn, args[0])
         elif name == "delay_until":
             # vTaskDelayUntil-style fixed-cadence release: the anchor is
             # this call's first activation, each call advances it by one
@@ -729,7 +746,7 @@ def _run_block(system: System, fn: Function, ops: List) -> Generator:
             fn._release_anchor = target
             remaining = target - fn.sim.now
             if remaining > 0:
-                yield from fn.delay(remaining)
+                yield from fn.context.delay(fn, remaining)
         elif name == "wait":
             yield from fn.wait(
                 system.relations[args[0]],

@@ -28,6 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .function import Function
 
 
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_CREATED = TaskState.CREATED
+_RUNNING = TaskState.RUNNING
+_TERMINATED = TaskState.TERMINATED
+_WAITING_RESOURCE = TaskState.WAITING_RESOURCE
+_WAITING = TaskState.WAITING
+
+
 class ExecutionContext:
     """Abstract mapping of function operations onto a platform."""
 
@@ -77,12 +86,12 @@ class HardwareContext(ExecutionContext):
     kind = "hw"
 
     def run(self, function: "Function") -> Generator:
-        function._set_state(TaskState.CREATED)
-        function._set_state(TaskState.RUNNING)
+        function._set_state(_CREATED)
+        function._set_state(_RUNNING)
         try:
             yield from function.behavior()
         finally:
-            function._set_state(TaskState.TERMINATED)
+            function._set_state(_TERMINATED)
 
     def execute(self, function: "Function", duration: Time) -> Generator:
         if duration > 0:
@@ -91,7 +100,7 @@ class HardwareContext(ExecutionContext):
     def block(self, function: "Function", waiter: Waiter,
               relation: Relation, timeout: Optional[Time] = None) -> Generator:
         state = (
-            TaskState.WAITING_RESOURCE if relation.resource else TaskState.WAITING
+            _WAITING_RESOURCE if relation.resource else _WAITING
         )
         function._set_state(state, reason="blocked")
         if not waiter.delivered:
@@ -104,16 +113,16 @@ class HardwareContext(ExecutionContext):
                 if not waiter.delivered:
                     relation.withdraw(waiter)
         function._set_state(
-            TaskState.RUNNING,
+            _RUNNING,
             reason="woken" if waiter.delivered else "timeout",
         )
         return waiter.value
 
     def delay(self, function: "Function", duration: Time) -> Generator:
-        function._set_state(TaskState.WAITING, reason="delay")
+        function._set_state(_WAITING, reason="delay")
         if duration > 0:
             yield duration
-        function._set_state(TaskState.RUNNING, reason="woken")
+        function._set_state(_RUNNING, reason="woken")
 
     def on_deliver(self, function: "Function", waiter: Waiter) -> None:
         waiter.event.notify()

@@ -34,9 +34,15 @@ from .queues import MessageQueue
 from .shared import SharedVariable
 
 # EnumType defines __getattr__, so reading a member off its class takes
-# the slow attribute hook on 3.11; the per-state-change path compares
-# against a module constant instead.
+# the slow attribute hook on 3.11; the per-state-change and per-access
+# paths read module constants instead.
 _READY = TaskState.READY
+_WAIT = AccessKind.WAIT
+_SIGNAL = AccessKind.SIGNAL
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+_LOCK = AccessKind.LOCK
+_UNLOCK = AccessKind.UNLOCK
 
 
 class Function(Module):
@@ -141,11 +147,12 @@ class Function(Module):
             self._ready_reason = None
         self.state = state
         self._state_since = now
-        if sim.recorder is not None or sim._observers:
+        emit = sim._emit
+        if emit is not None:
             # Resolved per record, not cached: a scheduling domain may
             # have migrated the task since the last one.
             task = self.task
-            sim.record(StateRecord(
+            emit(StateRecord(
                 now, self.name, state,
                 task.processor.name if task is not None else None, reason,
             ))
@@ -185,19 +192,19 @@ class Function(Module):
         when an occurrence was consumed (always, for unbounded waits).
         """
         if event.try_wait():
-            self._record_access(event, AccessKind.WAIT, blocked=False)
+            self._record_access(event, _WAIT, blocked=False)
             return True
         if timeout == 0:
-            self._record_access(event, AccessKind.WAIT, blocked=False)
+            self._record_access(event, _WAIT, blocked=False)
             return False
-        self._record_access(event, AccessKind.WAIT, blocked=True)
+        self._record_access(event, _WAIT, blocked=True)
         waiter = event._enqueue_waiter(self)
         yield from self.context.block(self, waiter, event, timeout)
         return waiter.delivered
 
     def signal(self, event: EventRelation) -> Generator:
         """Signal an MCSE event (never blocks; may pay RTOS overhead)."""
-        self._record_access(event, AccessKind.SIGNAL, blocked=False)
+        self._record_access(event, _SIGNAL, blocked=False)
         event.signal()
         yield from self.context.after_signal(self, event)
 
@@ -212,14 +219,14 @@ class Function(Module):
         """
         ok, item = queue.try_get()
         if ok:
-            self._record_access(queue, AccessKind.READ, blocked=False, value=item)
+            self._record_access(queue, _READ, blocked=False, value=item)
             # taking a message may have unblocked a writer
             yield from self.context.after_signal(self, queue)
             return item
         if timeout == 0:
-            self._record_access(queue, AccessKind.READ, blocked=False)
+            self._record_access(queue, _READ, blocked=False)
             return None
-        self._record_access(queue, AccessKind.READ, blocked=True)
+        self._record_access(queue, _READ, blocked=True)
         waiter = queue._enqueue_waiter(self)
         value = yield from self.context.block(self, waiter, queue, timeout)
         return value
@@ -232,13 +239,13 @@ class Function(Module):
         True when the message was accepted.
         """
         if queue.try_put(item):
-            self._record_access(queue, AccessKind.WRITE, blocked=False, value=item)
+            self._record_access(queue, _WRITE, blocked=False, value=item)
             yield from self.context.after_signal(self, queue)
             return True
         if timeout == 0:
-            self._record_access(queue, AccessKind.WRITE, blocked=False, value=item)
+            self._record_access(queue, _WRITE, blocked=False, value=item)
             return False
-        self._record_access(queue, AccessKind.WRITE, blocked=True, value=item)
+        self._record_access(queue, _WRITE, blocked=True, value=item)
         waiter = queue.enqueue_writer(self, item)
         yield from self.context.block(self, waiter, queue, timeout)
         return waiter.delivered
@@ -246,14 +253,14 @@ class Function(Module):
     # -- eventflags -------------------------------------------------------
     def set_flag(self, flags: EventFlags, pattern: int) -> Generator:
         """OR ``pattern`` into an eventflag relation (never blocks)."""
-        self._record_access(flags, AccessKind.SIGNAL, blocked=False,
+        self._record_access(flags, _SIGNAL, blocked=False,
                             value=pattern)
         flags.set(pattern)
         yield from self.context.after_signal(self, flags)
 
     def clear_flag(self, flags: EventFlags, mask: int) -> Generator:
         """AND an eventflag pattern with ``mask`` (never wakes anyone)."""
-        self._record_access(flags, AccessKind.WRITE, blocked=False, value=mask)
+        self._record_access(flags, _WRITE, blocked=False, value=mask)
         flags.clear(mask)
         return
         yield  # pragma: no cover - makes this a generator function
@@ -265,14 +272,14 @@ class Function(Module):
         Bounded like :meth:`wait`; returns True when satisfied.
         """
         if flags.try_wait_pattern(pattern, mode):
-            self._record_access(flags, AccessKind.WAIT, blocked=False,
+            self._record_access(flags, _WAIT, blocked=False,
                                 value=pattern)
             return True
         if timeout == 0:
-            self._record_access(flags, AccessKind.WAIT, blocked=False,
+            self._record_access(flags, _WAIT, blocked=False,
                                 value=pattern)
             return False
-        self._record_access(flags, AccessKind.WAIT, blocked=True,
+        self._record_access(flags, _WAIT, blocked=True,
                             value=pattern)
         waiter = flags.enqueue_flag_waiter(self, pattern, mode)
         yield from self.context.block(self, waiter, flags, timeout)
@@ -282,9 +289,9 @@ class Function(Module):
     def lock(self, shared: SharedVariable) -> Generator:
         """Acquire exclusive access to ``shared``."""
         if shared.try_lock(self):
-            self._record_access(shared, AccessKind.LOCK, blocked=False)
+            self._record_access(shared, _LOCK, blocked=False)
             return
-        self._record_access(shared, AccessKind.LOCK, blocked=True)
+        self._record_access(shared, _LOCK, blocked=True)
         shared.contentions += 1
         waiter = shared._enqueue_waiter(self)
         yield from self.context.block(self, waiter, shared)
@@ -292,7 +299,7 @@ class Function(Module):
     def unlock(self, shared: SharedVariable) -> Generator:
         """Release ``shared``; ownership passes to the next waiter."""
         shared.unlock(self)
-        self._record_access(shared, AccessKind.UNLOCK, blocked=False)
+        self._record_access(shared, _UNLOCK, blocked=False)
         yield from self.context.after_signal(self, shared)
 
     def read_shared(self, shared: SharedVariable, hold: Time = 0) -> Generator:
@@ -318,8 +325,7 @@ class Function(Module):
     def _record_access(self, relation, kind: AccessKind, *, blocked: bool,
                        value: object = None) -> None:
         sim = self.sim
-        if sim.recorder is not None or sim._observers:
-            sim.record(
-                AccessRecord(sim.now, self.name, relation.name, kind,
-                             blocked, value)
-            )
+        emit = sim._emit
+        if emit is not None:
+            emit(AccessRecord(sim.now, self.name, relation.name, kind,
+                              blocked, value))

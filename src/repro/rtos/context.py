@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import ProcessKilled
-from ..kernel.process import WaitEvents
 from ..kernel.time import Time
 from ..mcse.context import ExecutionContext
 from ..mcse.relations import Relation, Waiter
@@ -33,6 +32,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mcse.function import Function
     from .processor import ProcessorBase
     from .tcb import Task
+
+
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_CREATED = TaskState.CREATED
+_RUNNING = TaskState.RUNNING
+_TERMINATED = TaskState.TERMINATED
+_WAITING_RESOURCE = TaskState.WAITING_RESOURCE
+_WAITING = TaskState.WAITING
+_MIGRATION = OverheadKind.MIGRATION
+_CONTEXT_LOAD = OverheadKind.CONTEXT_LOAD
 
 
 class RTOSContext(ExecutionContext):
@@ -76,10 +86,10 @@ class RTOSContext(ExecutionContext):
             )
         if task.migration_pending:
             task.migration_pending = False
-            cost = cpu._overhead(OverheadKind.MIGRATION, task)
+            cost = cpu._overhead(_MIGRATION, task)
             if cost:
                 yield cost
-        load = cpu._overhead(OverheadKind.CONTEXT_LOAD, task)
+        load = cpu._overhead(_CONTEXT_LOAD, task)
         if load:
             yield load
         cpu._on_task_running(task)
@@ -90,7 +100,7 @@ class RTOSContext(ExecutionContext):
     def run(self, function: "Function") -> Generator:
         cpu = self.processor
         task = function.task
-        task.set_state(TaskState.CREATED)
+        task.set_state(_CREATED)
         cpu.make_ready(task, reason="created")
         yield from self._await_grant(task)
         try:
@@ -100,16 +110,16 @@ class RTOSContext(ExecutionContext):
             # Re-read the processor: migrations may have moved the task
             # since it was first mapped.
             cpu = task.processor
-            if task.state is TaskState.RUNNING:
+            if task.state is _RUNNING:
                 cpu._release_cpu(task)
-                task.set_state(TaskState.TERMINATED)
+                task.set_state(_TERMINATED)
                 cpu.sim.schedule_delta_callback(cpu._dispatch_next)
             raise
         # normal completion: the RTOS terminates the task (paper case (a))
         cpu = task.processor
-        if task.state is TaskState.RUNNING:
+        if task.state is _RUNNING:
             cpu._release_cpu(task)
-            task.set_state(TaskState.TERMINATED)
+            task.set_state(_TERMINATED)
             yield from self._relinquish(task, save=False)
 
     def execute(self, function: "Function", duration: Time) -> Generator:
@@ -127,13 +137,16 @@ class RTOSContext(ExecutionContext):
             return
         remaining = duration
         task.remaining_budget = remaining
-        preempt = (task.preempt_event,)
+        # one request per task, re-armed per slice: the kernel copies its
+        # fields when the wait is installed
+        wait = task.slice_wait
         while remaining > 0:
             if task.preempt_pending:
                 yield from self._self_preempt(task, pay_sched=True)
                 continue
             start = cpu.sim.now
-            fired = yield WaitEvents(preempt, "any", remaining)
+            wait.timeout = remaining
+            fired = yield wait
             elapsed = cpu.sim.now - start
             remaining -= elapsed
             task.cpu_time += elapsed
@@ -151,7 +164,7 @@ class RTOSContext(ExecutionContext):
         cpu = self.processor
         task = function.task
         state = (
-            TaskState.WAITING_RESOURCE if relation.resource else TaskState.WAITING
+            _WAITING_RESOURCE if relation.resource else _WAITING
         )
         timer = None
         if timeout is not None:
@@ -188,12 +201,12 @@ class RTOSContext(ExecutionContext):
         # the ready queue before the election, identically on both
         # engines.
         def timer_fired() -> None:
-            if task.state is TaskState.WAITING:
+            if task.state is _WAITING:
                 task.processor.make_ready(task, reason="timer")
 
         cpu.sim.schedule_callback(duration, timer_fired)
         cpu._release_cpu(task)
-        task.set_state(TaskState.WAITING, reason="delay")
+        task.set_state(_WAITING, reason="delay")
         yield from self._relinquish(task, save=True)
         yield from self._await_grant(task)
 

@@ -62,9 +62,9 @@ class PeriodicInterrupt:
         if self._stopped:
             return
         self.fire_count += 1
-        self.sim.record(
-            InterruptRecord(self.sim.now, self.processor_name, self.name)
-        )
+        emit = self.sim._emit
+        if emit is not None:
+            emit(InterruptRecord(self.sim.now, self.processor_name, self.name))
         self.handler()
         if self.max_fires is not None and self.fire_count >= self.max_fires:
             self._stopped = True
@@ -157,9 +157,9 @@ class EventInterrupt:
         if not self._enabled:
             return
         self.fire_count += 1
-        self.sim.record(
-            InterruptRecord(self.sim.now, self.processor_name, self.name)
-        )
+        emit = self.sim._emit
+        if emit is not None:
+            emit(InterruptRecord(self.sim.now, self.processor_name, self.name))
         self.handler()
 
     def disable(self) -> None:

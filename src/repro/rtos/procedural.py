@@ -30,16 +30,23 @@ from .processor import ProcessorBase
 from .tcb import Task
 
 
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_READY = TaskState.READY
+_CONTEXT_SAVE = OverheadKind.CONTEXT_SAVE
+_SCHEDULING = OverheadKind.SCHEDULING
+
+
 class ProceduralContext(RTOSContext):
     """Task-side RTOS primitives executed in the task's own thread."""
 
     def _relinquish(self, task: Task, *, save: bool) -> Generator:
         cpu = self.processor
         if save:
-            duration = cpu._overhead(OverheadKind.CONTEXT_SAVE, task)
+            duration = cpu._overhead(_CONTEXT_SAVE, task)
             if duration:
                 yield duration
-        duration = cpu._overhead(OverheadKind.SCHEDULING)
+        duration = cpu._overhead(_SCHEDULING)
         if duration:
             yield duration
         # settle one delta so every task becoming ready at this instant is
@@ -50,18 +57,18 @@ class ProceduralContext(RTOSContext):
     def _self_preempt(self, task: Task, *, pay_sched: bool) -> Generator:
         cpu = self.processor
         cpu._release_cpu(task)
-        task.set_state(TaskState.READY, reason="preempted")
+        task.set_state(_READY, reason="preempted")
         cpu._record_preemption(task)
         cpu._ready.append(task)
         if cpu.domain is not None:
             # a global/clustered domain may resume the victim immediately
             # on an idle sibling core instead of queueing it here
             cpu.domain.task_preempted(task)
-        duration = cpu._overhead(OverheadKind.CONTEXT_SAVE, task)
+        duration = cpu._overhead(_CONTEXT_SAVE, task)
         if duration:
             yield duration
         if pay_sched:
-            duration = cpu._overhead(OverheadKind.SCHEDULING)
+            duration = cpu._overhead(_SCHEDULING)
             if duration:
                 yield duration
         yield 0  # settle same-instant arrivals before electing
@@ -70,7 +77,7 @@ class ProceduralContext(RTOSContext):
 
     def _sched_pass(self, task: Task, *, preempt: bool) -> Generator:
         cpu = self.processor
-        duration = cpu._overhead(OverheadKind.SCHEDULING)
+        duration = cpu._overhead(_SCHEDULING)
         if duration:
             yield duration
         if preempt:
@@ -103,7 +110,7 @@ class ProceduralProcessor(ProcessorBase):
     # ------------------------------------------------------------------
     def _begin_idle_dispatch(self) -> None:
         self._scheduling_in_progress = True
-        duration = self._overhead(OverheadKind.SCHEDULING)
+        duration = self._overhead(_SCHEDULING)
         self.sim.schedule_callback(duration, self._finish_idle_dispatch)
 
     def _finish_idle_dispatch(self) -> None:

@@ -49,6 +49,12 @@ from .policies import SchedulingPolicy, make_policy
 from .tcb import Task
 
 
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+
+
 class ProcessorBase(Module):
     """Common state and decision logic of both RTOS engines."""
 
@@ -245,7 +251,7 @@ class ProcessorBase(Module):
         domains: domains pick a target core, then admit through here so
         preemption/idle-wake handling stays in one code path.
         """
-        task.set_state(TaskState.READY, reason)
+        task.set_state(_READY, reason)
         self._ready.append(task)
         self._reschedule(task)
 
@@ -358,36 +364,38 @@ class ProcessorBase(Module):
 
     def _on_task_running(self, task: Task) -> None:
         """Called by the task's thread once its context load completed."""
-        task.set_state(TaskState.RUNNING)
+        task.set_state(_RUNNING)
         self.policy.on_dispatch(self, task)
 
     def _record_preemption(self, task: Task) -> None:
         self.preemption_count += 1
-        self.sim.record(
-            PreemptionRecord(
+        emit = self.sim._emit
+        if emit is not None:
+            emit(PreemptionRecord(
                 self.sim.now,
                 self.name,
                 preempted=task.name,
-                preempting=getattr(task, "preempted_by", None) or "?",
-            )
-        )
+                preempting=task.preempted_by or "?",
+            ))
 
     # ------------------------------------------------------------------
     # Overhead accounting
     # ------------------------------------------------------------------
     def _overhead(self, kind: OverheadKind, task: Optional[Task] = None) -> Time:
         """Resolve one overhead component, record it, return its duration."""
-        duration = self.overheads.duration(kind, self)
+        overheads = self.overheads
+        duration = overheads._by_kind[kind]
+        if duration.__class__ is not int:
+            duration = overheads._resolve(duration, self)  # a formula
         if duration:
             self.overhead_time += duration
             sim = self.sim
-            if sim.recorder is not None or sim._observers:
-                sim.record(
-                    OverheadRecord(
-                        sim.now, self.name, kind, duration,
-                        task.name if task else None,
-                    )
-                )
+            emit = sim._emit
+            if emit is not None:
+                emit(OverheadRecord(
+                    sim.now, self.name, kind, duration,
+                    task.name if task else None,
+                ))
         return duration
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..kernel.event import Event
+from ..kernel.process import WaitEvents
 from ..kernel.time import Time
 from ..trace.records import TaskState
 from .states import ALLOWED_TRANSITIONS, check_transition
@@ -44,6 +45,9 @@ class Task:
         sim = processor.sim
         self.run_event = Event(sim, f"{self.name}.TaskRun")
         self.preempt_event = Event(sim, f"{self.name}.TaskPreempt")
+        #: The wait of an execute slice, ``wait_any(TaskPreempt,
+        #: timeout=slice)``; the execute loop sets its timeout per slice.
+        self.slice_wait = WaitEvents((self.preempt_event,), "any")
         #: Resume handshake used by the threaded engine's RTOS calls.
         self.resume_event = Event(sim, f"{self.name}.TaskResume")
         self.resumed = False

@@ -26,6 +26,13 @@ from .processor import ProcessorBase
 from .tcb import Task
 
 
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_READY = TaskState.READY
+_SCHEDULING = OverheadKind.SCHEDULING
+_CONTEXT_SAVE = OverheadKind.CONTEXT_SAVE
+
+
 class ThreadedContext(RTOSContext):
     """Task-side protocol: every RTOS action is shipped to the RTOS thread."""
 
@@ -37,7 +44,7 @@ class ThreadedContext(RTOSContext):
     def _self_preempt(self, task: Task, *, pay_sched: bool) -> Generator:
         cpu = self.processor
         cpu._release_cpu(task)
-        task.set_state(TaskState.READY, reason="preempted")
+        task.set_state(_READY, reason="preempted")
         cpu._record_preemption(task)
         cpu._ready.append(task)
         # the RTOS thread pays save (+ scheduling) and elects the next task
@@ -116,12 +123,12 @@ class ThreadedProcessor(ProcessorBase):
             candidate = request[1]
             if self.running is None:
                 if self._ready and not self._release_pending():
-                    yield from self._charge(OverheadKind.SCHEDULING)
+                    yield from self._charge(_SCHEDULING)
                     yield 0  # settle same-instant arrivals before electing
                     self._dispatch_next()
             elif (
                 self.preemptive
-                and candidate.state is TaskState.READY
+                and candidate.state is _READY
                 and self.policy.should_preempt(self, self.running, candidate)
             ):
                 self.request_preempt(self.running, candidate)
@@ -130,31 +137,31 @@ class ThreadedProcessor(ProcessorBase):
             # its thread already set the new state
             task, save = request[1], request[2]
             if save:
-                yield from self._charge(OverheadKind.CONTEXT_SAVE, task)
-            yield from self._charge(OverheadKind.SCHEDULING)
+                yield from self._charge(_CONTEXT_SAVE, task)
+            yield from self._charge(_SCHEDULING)
             yield 0  # settle same-instant arrivals before electing
             self._dispatch_next()
         elif kind == "switch_no_sched":
             # self-preemption whose scheduling pass was already charged
             task = request[1]
-            yield from self._charge(OverheadKind.CONTEXT_SAVE, task)
+            yield from self._charge(_CONTEXT_SAVE, task)
             yield 0  # settle same-instant arrivals before electing
             self._dispatch_next()
         elif kind == "sched_then_preempt":
             # a running task's RTOS call elected a preemptor
             task = request[1]
-            yield from self._charge(OverheadKind.SCHEDULING)
+            yield from self._charge(_SCHEDULING)
             self._release_cpu(task)
-            task.set_state(TaskState.READY, reason="preempted")
+            task.set_state(_READY, reason="preempted")
             self._record_preemption(task)
             self._ready.append(task)
-            yield from self._charge(OverheadKind.CONTEXT_SAVE, task)
+            yield from self._charge(_CONTEXT_SAVE, task)
             yield 0  # settle same-instant arrivals before electing
             self._dispatch_next()
         elif kind == "sched_resume":
             # a running task's RTOS call did not change the election
             task = request[1]
-            yield from self._charge(OverheadKind.SCHEDULING)
+            yield from self._charge(_SCHEDULING)
             task.resumed = True
             task.resume_event.notify()
         else:  # pragma: no cover - defensive

@@ -22,14 +22,22 @@ from ..kernel.simulator import Simulator
 from ..kernel.time import Time
 from ..trace.records import MarkerRecord, StateRecord, TaskState
 
+
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_WAITING = TaskState.WAITING
+_WAITING_RESOURCE = TaskState.WAITING_RESOURCE
+_TERMINATED = TaskState.TERMINATED
+_READY = TaskState.READY
+
 #: Activation reasons that start a deadline window.
 _ACTIVATION_REASONS = ("woken", "timer", "created")
 
 #: States that complete the current activation.
 _COMPLETION_STATES = (
-    TaskState.WAITING,
-    TaskState.WAITING_RESOURCE,
-    TaskState.TERMINATED,
+    _WAITING,
+    _WAITING_RESOURCE,
+    _TERMINATED,
 )
 
 
@@ -84,7 +92,7 @@ class DeadlineWatchdog:
             return
         if record.task != self.task_name:
             return
-        if (record.state is TaskState.READY
+        if (record.state is _READY
                 and record.reason in _ACTIVATION_REASONS):
             if self._armed_handle is None:
                 self.activation_count += 1
@@ -109,13 +117,13 @@ class DeadlineWatchdog:
         self._activation_time = None
         self.miss_count += 1
         self.missed_activations.append(activation)
-        self.sim.record(
-            MarkerRecord(
+        emit = self.sim._emit
+        if emit is not None:
+            emit(MarkerRecord(
                 self.sim.now,
                 f"deadline_miss({self.task_name})",
                 self.task_name,
-            )
-        )
+            ))
         if self.on_miss is not None:
             self.on_miss(self, activation)
 

@@ -50,6 +50,11 @@ from ..rtos.processor import ProcessorBase
 from ..rtos.tcb import Task
 from ..trace.records import MigrationRecord, TaskState
 
+
+# Enum members as module globals: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_READY = TaskState.READY
+
 #: Dispatch disciplines a domain understands.
 DOMAIN_KINDS = ("global", "partitioned", "clustered")
 
@@ -238,7 +243,7 @@ class SchedulingDomain:
             task.processor._admit_ready(task, reason)
             return
         home = task.processor
-        task.set_state(TaskState.READY, reason)
+        task.set_state(_READY, reason)
         home._ready.append(task)
         target = self._place(task)
         if target is not None:
@@ -371,12 +376,12 @@ class SchedulingDomain:
         task.migration_count += 1
         target.migration_count += 1
         self.migration_total += 1
-        self.sim.record(
-            MigrationRecord(
+        emit = self.sim._emit
+        if emit is not None:
+            emit(MigrationRecord(
                 self.sim.now, task.name, source.name, target.name,
                 domain=self.name,
-            )
-        )
+            ))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -44,7 +44,6 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..kernel.process import ProcessBase
 from .choices import ChoiceController
 
 #: Primitive local-variable types included in a frame's signature.
@@ -199,12 +198,10 @@ def _timed_label(entry: Any) -> Any:
     target = getattr(entry, "event", None)
     if target is not None:
         return target.name
-    sensitivity = getattr(entry, "sensitivity", None)
-    if sensitivity is not None:
-        # a pure timed wait uses the waiting process as its sensitivity
-        process = (sensitivity if isinstance(sensitivity, ProcessBase)
-                   else sensitivity.process)
-        return process.name if process is not None else "?"
+    process = getattr(entry, "process", None)
+    if process is not None:
+        # a timeout entry: its target is the waiting process
+        return process.name
     return _callback_label(entry.fn)
 
 

@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from repro.kernel import Simulator
-from repro.kernel.process import delta, wait_all, wait_any
+from repro.kernel import ProcessState, Simulator
+from repro.kernel.process import ProcessBase, delta, wait_all, wait_any
 from repro.kernel.time import NS, US
 
 
@@ -92,14 +92,28 @@ def build_random_workload(sim: Simulator, rng: random.Random, trace: list):
 
         proc = sim.thread(victim, name="victim")
         sim.schedule_callback(rng.randint(1, 20) * US, proc.kill)
+    return events
+
+
+def assert_no_stale_waiters(sim: Simulator, events) -> None:
+    """Every process left in an event's waiters is still waiting on it."""
+    for event in list(events) + [p.terminated_event for p in sim.processes]:
+        for waiter in event._waiters:
+            if not isinstance(waiter, ProcessBase):
+                continue  # a method's static sensitivity stays attached
+            assert waiter.state is ProcessState.WAITING, (event, waiter)
+            pending = waiter._wait_remaining
+            assert event in (waiter._wait_events if pending is None
+                             else pending), (event, waiter)
 
 
 def run_once(seed: int):
     rng = random.Random(seed)
     sim = Simulator(f"det{seed}")
     trace = []
-    build_random_workload(sim, rng, trace)
+    events = build_random_workload(sim, rng, trace)
     sim.run(2_000 * US)
+    assert_no_stale_waiters(sim, events)
     return trace, sim.now, sim.process_switch_count, sim.delta_count
 
 

@@ -168,6 +168,7 @@ class TestWaitAnyAll:
         b.notify_after(2 * US)
         sim.run()
         assert wakes == [1 * US, 101 * US]
+        assert not a._waiters and not b._waiters
 
     def test_wait_all(self, sim):
         a, b, c = sim.event("a"), sim.event("b"), sim.event("c")
@@ -209,6 +210,8 @@ class TestWaitAnyAll:
         a.notify_after(2 * US)
         sim.run(20 * US)
         assert log == [(2 * US, a)]
+        # the event withdrew the 4us timeout: nothing is left scheduled
+        assert not a._waiters and not sim.pending_activity()
 
     def test_empty_wait_any_rejected(self):
         with pytest.raises(ProcessError):
@@ -395,3 +398,114 @@ class TestProcessState:
         proc = sim.thread(body)
         sim.run()
         assert proc.step_count == 3  # initial run + two resumes
+
+
+class TestWaitProtocol:
+    """A waiting process is its own event waiter: one wake per wait, and
+    nothing of a finished wait stays attached or armed."""
+
+    @staticmethod
+    def assert_detached(sim, *events):
+        assert all(not ev._waiters for ev in events)
+        assert not sim.pending_activity()
+
+    @pytest.mark.parametrize("event_first", [True, False])
+    def test_event_and_timeout_in_one_instant_wake_once(self, sim,
+                                                        event_first):
+        a = sim.event("a")
+        wakes = []
+
+        def waiter():
+            fired = yield wait_any(a, timeout=5 * US)
+            wakes.append((sim.now, fired))
+            yield 100 * US
+            wakes.append((sim.now, "slept"))
+
+        def notifier():
+            a.notify_after(5 * US)
+            return
+            yield  # pragma: no cover - makes this a generator function
+
+        # the first thread to run pushes its heap entry first, and entries
+        # of one instant fire in push order
+        first, second = (notifier, waiter) if event_first else (waiter, notifier)
+        sim.thread(first)
+        sim.thread(second)
+        sim.run()
+        fired = a if event_first else None
+        assert wakes == [(5 * US, fired), (105 * US, "slept")]
+        self.assert_detached(sim, a)
+
+    def test_wait_all_over_two_instants_disarms_its_timeout(self, sim):
+        a, b = sim.event("a"), sim.event("b")
+        wakes = []
+
+        def waiter():
+            yield wait_all(a, b, timeout=10 * US)
+            wakes.append(sim.now)
+
+        sim.thread(waiter)
+        a.notify_after(2 * US)
+        b.notify_after(4 * US)
+        sim.run(until=6 * US)
+        assert wakes == [4 * US]
+        self.assert_detached(sim, a, b)
+
+    def test_kill_during_event_and_timeout_wait(self, sim):
+        a = sim.event("a")
+        log = []
+
+        def body():
+            try:
+                yield wait_any(a, timeout=10 * US)
+                log.append("woken")
+            finally:
+                log.append(("cleanup", sim.now))
+
+        proc = sim.thread(body)
+        sim.schedule_callback(2 * US, proc.kill)
+        sim.schedule_callback(3 * US, a.notify)
+        sim.run()
+        assert log == [("cleanup", 2 * US)] and proc.terminated
+        assert sim.now == 3 * US  # the 10us timeout was withdrawn
+        self.assert_detached(sim, a)
+
+    def test_throw_during_event_and_timeout_wait(self, sim):
+        a = sim.event("a")
+        log = []
+
+        def body():
+            try:
+                yield wait_any(a, timeout=10 * US)
+            except ValueError:
+                log.append(("caught", sim.now))
+            yield 100 * US
+            log.append(("slept", sim.now))
+
+        proc = sim.thread(body)
+        sim.schedule_callback(2 * US, lambda: proc.throw(ValueError()))
+        sim.schedule_callback(3 * US, a.notify)
+        sim.run()
+        assert log == [("caught", 2 * US), ("slept", 102 * US)]
+        self.assert_detached(sim, a)
+
+    def test_method_next_trigger_on_event_and_timeout(self, sim):
+        s, d = sim.event("s"), sim.event("d")
+        runs = []
+
+        def handler():
+            runs.append(sim.now)
+            if len(runs) == 1:
+                return wait_any(d, timeout=10 * US)  # d beats the timeout
+            if len(runs) == 2:
+                return wait_any(d, timeout=3 * US)  # the timeout wins
+            return None
+
+        sim.method(handler, sensitive=(s,), initialize=False)
+        for at, event in ((1, s), (2, s), (4, d), (8, d), (12, s)):
+            sim.schedule_callback(at * US, event.notify)
+        sim.run()
+        # s at 2us is masked by the dynamic wait, d at 8us has no waiter,
+        # and the withdrawn 11us timeout never runs the method
+        assert runs == [1 * US, 4 * US, 7 * US, 12 * US]
+        assert not d._waiters and not sim.pending_activity()

@@ -1,5 +1,7 @@
 """Tests for the declarative system builder (the 'code generator')."""
 
+import re
+
 import pytest
 
 from repro.errors import BuildError
@@ -248,6 +250,26 @@ class TestSpecValidation:
     def test_bad_loop_count(self):
         spec = {"functions": [{"name": "f", "script": [["loop", -1, []]]}]}
         with pytest.raises(BuildError, match="loop count"):
+            build_system(spec)
+
+    @pytest.mark.parametrize("op,message", [
+        (["delay", "abc"], "bad duration 'abc'"),
+        (["execute", None], "bad duration None"),
+        (["delay", 1.5], "bad duration 1.5"),
+        (["delay_until", "soon"], "bad duration 'soon'"),
+        (["delay", -5], "negative duration -5"),
+        (["execute", -5], "negative duration -5"),
+        (["execute", [-5, 3]], "negative duration -5"),
+        (["execute", [3, -5]], "negative duration -5"),
+        (["execute", "1us..later"], "bad duration 'later'"),
+        (["delay_until", -5], "negative duration -5"),
+    ])
+    def test_bad_script_duration_names_the_op(self, op, message):
+        spec = {"functions": [
+            {"name": "f", "script": [["execute", "1us"], ["loop", 2, [op]]]},
+        ]}
+        with pytest.raises(BuildError,
+                           match="^" + re.escape(f"script[1][0]: {message}")):
             build_system(spec)
 
     @pytest.mark.parametrize("priority", ["hi", True, 2.5, None])

@@ -1,9 +1,9 @@
 """Invariants the RTOS step path's shortcuts rely on.
 
-Task state changes and overhead charges build their trace records only
-while a recorder or an observer is attached, the processor name in a
-state record is read through the task at emission time, a task's
-effective priority is a plain attribute kept in sync by its
+Records are built only while a recorder or an observer is attached and
+go through the simulator's one resolved emission sink, the processor
+name in a state record is read through the task at emission time, a
+task's effective priority is a plain attribute kept in sync by its
 inherited-priority setter, and only overhead *formulas* are checked per
 charge (constants are checked at construction, see test_overheads.py).
 Each test pins one of those rules.
@@ -12,6 +12,7 @@ Each test pins one of those rules.
 import pytest
 
 from repro.errors import RTOSError, SimulationError
+from repro.kernel import Simulator
 from repro.kernel.time import US
 from repro.mcse import System
 from repro.mcse.builder import build_system
@@ -122,6 +123,46 @@ class TestRecordsFollowTheTask:
         assert watchdog.missed_activations == [150 * US]
         assert (watchdog.activation_count, from_start.activation_count) \
             == (6, 7)
+
+
+class TestEmissionSink:
+    def test_sink_follows_what_listens(self):
+        sim = Simulator("sink")
+        assert sim._emit is None
+        recorder = TraceRecorder(sim)
+        assert sim._emit == recorder.records.append
+        seen = []
+        sim.add_observer(seen.append)
+        sim.record("x")
+        sim.remove_observer(seen.append)
+        sim.set_recorder(None)
+        assert sim._emit is None
+        sim.record("y")
+        assert recorder.records == seen == ["x"]
+
+    def test_bounded_recorder_still_counts_drops(self):
+        sim = Simulator("sink")
+        recorder = TraceRecorder(sim, limit=1)
+        seen = []
+        sim.add_observer(seen.append)
+        for record in "abc":
+            sim.record(record)
+        assert (recorder.records, recorder.dropped) == (["a"], 2)
+        assert seen == ["a", "b", "c"]
+
+    def test_observer_removed_mid_record_skips_no_other_listener(self):
+        sim = Simulator("sink")
+        seen = []
+
+        def a(record):
+            seen.append(("a", record))
+            sim.remove_observer(a)
+
+        sim.add_observer(a)
+        sim.add_observer(lambda record: seen.append(("b", record)))
+        sim.record("x")
+        sim.record("y")
+        assert seen == [("a", "x"), ("b", "x"), ("b", "y")]
 
 
 def inversion_system(shared_factory):

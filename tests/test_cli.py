@@ -193,13 +193,17 @@ class TestUsageErrors:
         (["campaign", "--runs", "0"], "need at least one run"),
         (["fuzz", "--budget", "-1"], "budget must be >= 1"),
         (["fuzz", "--replay", "--seeds-dir", "seeds"], "unreadable seed"),
+        (["run", "bad-delay.json"], "script[0]: bad duration 'abc'"),
     ], ids=["batch-run-list", "compare-non-report", "corpus-unknown",
             "campaign-zero-runs", "fuzz-negative-budget",
-            "fuzz-bad-seed"])
+            "fuzz-bad-seed", "run-bad-delay"])
     def test_one_line_and_exit_2(self, argv, message, tmp_path,
                                  monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "bad-delay.json").write_text(json.dumps(
+            {"functions": [{"name": "f", "script": [["delay", "abc"]]}]}
+        ))
         (tmp_path / "plain.json").write_text('{"foo": 1}')
         (tmp_path / "seeds").mkdir()
         (tmp_path / "seeds" / "bad.json").write_text("not json")

@@ -63,6 +63,39 @@ def test_fig7_mutex_blocking_conforms(variant):
     assert_conforms(record_fig7(variant), f"fig7_{variant}.jsonl")
 
 
+def model_counts(system, recorder):
+    cpus = system.processors.values()
+    return (
+        system.sim.process_switch_count,
+        system.sim.delta_count,
+        len(recorder.records),
+        sum(cpu.dispatch_count for cpu in cpus),
+        sum(cpu.preemption_count for cpu in cpus),
+    )
+
+
+#: (process switches, delta cycles, records, dispatches, preemptions) of
+#: each golden model.  A pure speed-up leaves every one unchanged; the
+#: engines differ only in switches (the threaded RTOS runs as a thread).
+GOLDEN_COUNTS = {
+    ("fig6", "procedural"): (38, 11, 47, 6, 1),
+    ("fig6", "threaded"): (51, 11, 47, 6, 1),
+    ("fig7", "plain"): (52, 13, 59, 9, 3),
+    ("fig7", "ceiling"): (30, 9, 35, 5, 0),
+}
+
+
+@pytest.mark.parametrize("model,variant", list(GOLDEN_COUNTS))
+def test_golden_models_keep_their_kernel_and_rtos_counts(model, variant):
+    if model == "fig6":
+        system, _log = build_fig6_system(engine=variant)
+        recorder = TraceRecorder(system.sim)
+    else:
+        system, recorder, _done = build_fig7_system(variant)
+    system.run()
+    assert model_counts(system, recorder) == GOLDEN_COUNTS[model, variant]
+
+
 def test_goldens_are_nonempty():
     """Guard against silently-empty golden files masking conformance."""
     for name in ["fig6_timeline.jsonl"] + [
