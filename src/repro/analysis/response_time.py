@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..kernel.time import Time
@@ -87,29 +87,37 @@ def response_time_analysis(
     scheduling pass on the task under analysis, and the task's own
     release costs one switch + scheduling pass.
     """
+    loads = [(t.priority, t.period, t.wcet + 2 * context_switch + scheduling)
+             for t in tasks]
     results: Dict[str, Optional[Time]] = {}
     for task in tasks:
-        higher = [t for t in tasks if t.priority > task.priority]
-        own_cost = task.wcet + task.blocking + context_switch + scheduling
-        response = own_cost
-        for _ in range(max_iterations):
-            interference = 0
-            for other in higher:
-                jobs = math.ceil(response / other.period)
-                interference += jobs * (
-                    other.wcet + 2 * context_switch + scheduling
-                )
-            new_response = own_cost + interference
-            if new_response == response:
-                break
-            if new_response > task.effective_deadline * 1000:
-                response = None  # hopelessly divergent
-                break
-            response = new_response
-        else:
-            response = None
-        results[task.name] = response
+        higher = [(period, load) for priority, period, load in loads
+                  if priority > task.priority]
+        results[task.name] = _task_response(
+            task.wcet + task.blocking + context_switch + scheduling,
+            higher, task.effective_deadline * 1000, max_iterations)
     return results
+
+
+def _task_response(own_cost: Time, higher: List[Tuple[Time, Time]],
+                   limit: Time, max_iterations: int) -> Optional[Time]:
+    """The recurrence for one task, or ``None`` when unbounded.
+
+    ``higher`` holds one ``(period, wcet + 2 * cs + sched)`` pair per
+    higher-priority task; ``limit`` is the divergence cut-off.
+    """
+    response = own_cost
+    for _ in range(max_iterations):
+        interference = 0
+        for period, load in higher:
+            interference += math.ceil(response / period) * load
+        new_response = own_cost + interference
+        if new_response == response:
+            return response
+        if new_response > limit:
+            return None  # hopelessly divergent
+        response = new_response
+    return None
 
 
 def is_schedulable(

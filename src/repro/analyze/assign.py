@@ -27,17 +27,18 @@ otherwise).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.response_time import PeriodicTask, response_time_analysis
+from ..analysis.response_time import PeriodicTask, _task_response
 from .blocking import (
     BlockingModel,
     _analysis_domain,
     _with_blocking,
 )
 from .diagnostics import Report, rule
-from .flow import TaskFlow
-from .schedulability import periodic_profile, resolve_overhead_costs
+
+if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
+    from .context import LintContext
 
 RTS182 = rule(
     "RTS182", "priority assignment infeasible per Audsley's OPA",
@@ -54,45 +55,25 @@ RTS182 = rule(
 )
 
 
-def _profiles(processor: Any) -> List[PeriodicTask]:
-    profiles = []
-    for task in processor.tasks:
-        profile = periodic_profile(task)
-        if profile is not None:
-            profiles.append(profile)
-    return profiles
+def _fits(profiles: List[PeriodicTask], model: BlockingModel,
+          priorities: Mapping[str, int], name: str,
+          loads: Mapping[str, Tuple[int, int]], context_switch: int,
+          scheduling: int) -> bool:
+    """Whether task ``name`` meets its deadline at ``priorities``.
 
-
-def _charged(profiles: List[PeriodicTask], model: BlockingModel,
-             priorities: Mapping[str, int]) -> List[PeriodicTask]:
-    reassigned = [
-        PeriodicTask(
-            name=p.name, wcet=p.wcet, period=p.period,
-            priority=priorities[p.name], deadline=p.deadline,
-        )
-        for p in profiles
-    ]
-    return [
-        _with_blocking(p, model.blocking(p.name, priorities))
-        for p in reassigned
-    ]
-
-
-def _meets_deadlines(
-    profiles: List[PeriodicTask], model: BlockingModel,
-    priorities: Mapping[str, int], context_switch: int, scheduling: int,
-    *, only: Optional[str] = None,
-) -> bool:
-    charged = _charged(profiles, model, priorities)
-    responses = response_time_analysis(
-        charged, context_switch=context_switch, scheduling=scheduling)
-    for profile in charged:
-        if only is not None and profile.name != only:
-            continue
-        response = responses[profile.name]
-        if response is None or response > profile.effective_deadline:
-            return False
-    return True
+    Only the candidate's own response is read, so only its blocking
+    term is charged; higher-priority tasks interfere through their
+    hoisted ``(period, wcet + 2 * cs + sched)`` loads alone.
+    """
+    mine = priorities[name]
+    profile = next(p for p in profiles if p.name == name)
+    charged = _with_blocking(profile, model.blocking(name, priorities))
+    deadline = charged.effective_deadline
+    response = _task_response(
+        charged.wcet + charged.blocking + context_switch + scheduling,
+        [loads[p.name] for p in profiles if priorities[p.name] > mine],
+        deadline * 1000, 10_000)
+    return response is not None and response <= deadline
 
 
 def _blocking_exact(profiles: List[PeriodicTask], model: BlockingModel,
@@ -112,6 +93,8 @@ def opa_assignment(
     without a profile keep their configured priorities throughout.
     """
     names = [p.name for p in profiles]
+    loads = {p.name: (p.period, p.wcet + 2 * context_switch + scheduling)
+             for p in profiles}
     values = sorted(base_priorities[name] for name in names)
     if len(set(values)) != len(values):
         # duplicated configured values cannot express a strict ordering
@@ -130,8 +113,8 @@ def opa_assignment(
             ceiling_values = values[level + 1:]
             for index, other in enumerate(sorted(unassigned - {name})):
                 candidate[other] = ceiling_values[index]
-            if _meets_deadlines(profiles, model, candidate,
-                                context_switch, scheduling, only=name):
+            if _fits(profiles, model, candidate, name, loads,
+                     context_switch, scheduling):
                 placed = name
                 break
         if placed is None:
@@ -144,33 +127,43 @@ def opa_assignment(
     return assignment
 
 
-def check_assignment(report: Report, system: Any,
-                     flows: Mapping[str, TaskFlow],
-                     model: BlockingModel) -> None:
-    """RTS182 for every partitioned-or-standalone priority processor."""
-    for processor in system.processors.values():
+def check_assignment(report: Report, context: LintContext) -> None:
+    """RTS182 for every partitioned-or-standalone priority processor.
+
+    Every reassignment found is also kept on
+    ``context.priority_changes`` for the fix engine.
+    """
+    for processor in context.system.processors.values():
         if not _analysis_domain(processor):
             continue
         if getattr(processor.policy, "name", "") != "priority_preemptive":
             continue
-        _check_processor(report, processor, model)
+        _check_processor(report, context, processor)
 
 
-def _check_processor(report: Report, processor: Any,
-                     model: BlockingModel) -> None:
-    profiles = _profiles(processor)
+def _check_processor(report: Report, context: LintContext,
+                     processor: Any) -> None:
+    profiles = context.profiles(processor)
     if not profiles:
         return
-    costs = resolve_overhead_costs(processor)
+    costs = context.costs(processor)
     if costs is None:
         return  # RTS120 already reported the broken formula
     context_switch, scheduling = costs
+    model = context.model
+    assert model is not None
     current = dict(model.priorities)
     if any(p.name not in current for p in profiles):
         return  # RTS102 already reported the non-integer priority
-    if _meets_deadlines(profiles, model, current, context_switch,
-                        scheduling):
-        return
+    # the configured priorities are the profiles' own, so this is the
+    # charged RTA RTS180 already ran
+    _, responses = context.charged_rta(processor)
+    for profile in profiles:
+        response = responses[profile.name]
+        if response is None or response > profile.effective_deadline:
+            break
+    else:
+        return  # every deadline is met as configured
     location = f"processor {processor.name}"
     assignment = opa_assignment(profiles, model, current, context_switch,
                                 scheduling)
@@ -182,6 +175,7 @@ def _check_processor(report: Report, processor: Any,
             # the failed current check only through rounding of the
             # search order -- report nothing rather than a non-fix
             return
+        context.priority_changes.update(changes)
         change_text = ", ".join(
             f"{name}: {current[name]} -> {assignment[name]}"
             for name, _ in changes
@@ -225,48 +219,18 @@ def _changes(
     return changes
 
 
-def suggest_priorities(system: Any,
-                       flows: Optional[Mapping[str, TaskFlow]] = None,
-                       model: Optional[BlockingModel] = None,
-                       ) -> Dict[str, int]:
+def suggest_priorities(system: Any) -> Dict[str, int]:
     """Feasible priority changes per OPA, for the fix engine.
 
     Returns ``{task: new_priority}`` for every task whose priority the
     reassignment changes, across all processors where the current
     assignment fails and OPA succeeds.  Empty when nothing to fix.
     """
-    from .flow import analyze_flows
+    from .context import LintContext
 
-    if flows is None:
-        flows = analyze_flows(system)
-    if model is None:
-        model = BlockingModel(system, flows)
-    suggestions: Dict[str, int] = {}
-    for processor in system.processors.values():
-        if not _analysis_domain(processor):
-            continue
-        if getattr(processor.policy, "name", "") != "priority_preemptive":
-            continue
-        profiles = _profiles(processor)
-        if not profiles:
-            continue
-        costs = resolve_overhead_costs(processor)
-        if costs is None:
-            continue
-        context_switch, scheduling = costs
-        current = dict(model.priorities)
-        if any(p.name not in current for p in profiles):
-            continue
-        if _meets_deadlines(profiles, model, current, context_switch,
-                            scheduling):
-            continue
-        assignment = opa_assignment(profiles, model, current,
-                                    context_switch, scheduling)
-        if assignment is None:
-            continue
-        for name, value in _changes(current, assignment, profiles):
-            suggestions[name] = value
-    return suggestions
+    context = LintContext(system)
+    check_assignment(Report(), context)
+    return context.priority_changes
 
 
 __all__ = [

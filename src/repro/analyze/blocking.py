@@ -44,16 +44,28 @@ engine (:mod:`repro.analyze.fixes`) reuses both to synthesize patches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..analysis.response_time import PeriodicTask, response_time_analysis
-from ..kernel.time import Time, format_time
+from ..analysis.response_time import PeriodicTask
+from ..kernel.time import format_time
 from ..mcse.shared import SharedVariable
 from ..rtos.services import CeilingSharedVariable, InheritanceSharedVariable
 from .diagnostics import Report, rule
 from .effects import Branch, Effect, Exit, Loop, Node, Seq
 from .flow import TaskFlow, _emit
-from .schedulability import periodic_profile, resolve_overhead_costs
+
+if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
+    from .context import LintContext
 
 RTS180 = rule(
     "RTS180", "task unschedulable once blocking is charged",
@@ -344,11 +356,6 @@ class BlockingTerm:
     #: (blocker task, resource, hold) triples behind the bound.
     contributors: Tuple[Tuple[str, str, Bound], ...] = ()
 
-    @property
-    def charge(self) -> Optional[Time]:
-        """The term as an RTA-chargeable duration (``None``: unbounded)."""
-        return self.time
-
 
 @dataclass(frozen=True)
 class _Resource:
@@ -402,9 +409,6 @@ class BlockingModel:
                 users=users)
 
     # ------------------------------------------------------------------
-    def hold(self, task: str, resource: str) -> Optional[CriticalSection]:
-        return self.sections.get((task, resource))
-
     def computed_ceiling(
         self, resource: str,
         priorities: Optional[Mapping[str, int]] = None,
@@ -625,16 +629,15 @@ def _contributor_text(contributors: Sequence[Tuple[str, str, Bound]]) -> str:
     return ", ".join(parts)
 
 
-def check_blocking(report: Report, system: Any,
-                   flows: Mapping[str, TaskFlow]) -> BlockingModel:
-    """Run the RTS180/181/183 rules; returns the model for reuse."""
-    model = BlockingModel(system, flows)
+def check_blocking(report: Report, context: LintContext) -> None:
+    """Run the RTS180/181/183 rules over the lint context."""
+    model = context.model
+    assert model is not None
     _check_ceilings(report, model)
-    for processor in system.processors.values():
+    for processor in context.system.processors.values():
         if not _analysis_domain(processor):
             continue
-        _check_processor_blocking(report, model, processor)
-    return model
+        _check_processor_blocking(report, context, processor)
 
 
 def _check_ceilings(report: Report, model: BlockingModel) -> None:
@@ -663,34 +666,22 @@ def _check_ceilings(report: Report, model: BlockingModel) -> None:
         )
 
 
-def _check_processor_blocking(report: Report, model: BlockingModel,
+def _check_processor_blocking(report: Report, context: LintContext,
                               processor: Any) -> None:
     location = f"processor {processor.name}"
     policy_name = getattr(processor.policy, "name", "")
     if policy_name not in _PRIORITY_POLICIES:
         return
-    profiles: List[PeriodicTask] = []
-    for task in processor.tasks:
-        profile = periodic_profile(task)
-        if profile is not None:
-            profiles.append(profile)
+    profiles = context.profiles(processor)
     if not profiles:
         return
-    costs = resolve_overhead_costs(processor)
-    if costs is None:
+    if context.costs(processor) is None:
         return  # RTS120 already reported the broken formula
-    context_switch, scheduling = costs
 
-    terms = {profile.name: model.blocking(profile.name)
-             for profile in profiles}
-    baseline = response_time_analysis(
-        profiles, context_switch=context_switch, scheduling=scheduling)
-    charged_profiles = [
-        _with_blocking(profile, terms[profile.name]) for profile in profiles
-    ]
-    charged = response_time_analysis(
-        charged_profiles, context_switch=context_switch,
-        scheduling=scheduling)
+    model = context.model
+    assert model is not None
+    baseline = context.zero_blocking_rta(processor)
+    terms, charged = context.charged_rta(processor)
 
     for profile in profiles:
         term = terms[profile.name]

@@ -334,9 +334,6 @@ def _has_break(stmts: Sequence[ast.stmt]) -> bool:
         if isinstance(stmt, (ast.For, ast.While, ast.FunctionDef,
                              ast.AsyncFunctionDef, ast.ClassDef)):
             continue  # a break in there binds to the inner loop/def
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                continue
         if isinstance(stmt, ast.If):
             if _has_break(stmt.body) or _has_break(stmt.orelse):
                 return True
@@ -534,20 +531,6 @@ def _imul(a: Bound, k: int) -> Bound:
     if k == 0 or a == 0:
         return 0
     return None if a is None else a * k
-
-
-def _imin(a: Bound, b: Bound) -> Bound:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _imax(a: Bound, b: Bound) -> Bound:
-    if a is None or b is None:
-        return None
-    return max(a, b)
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,14 @@ simply not planned.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..kernel.simulator import Simulator
 from ..kernel.time import format_time, parse_time
 from ..mcse.builder import build_system
-from .assign import suggest_priorities
-from .blocking import BlockingModel
+from .context import LintContext
 from .diagnostics import Report
-from .flow import analyze_flows
 
 #: Rules the fix engine can discharge.
 FIXABLE_RULES = ("RTS181", "RTS182", "RTS183")
@@ -46,13 +44,12 @@ class FixError(ReproError):
 
 
 def _analyze(spec: Mapping[str, Any],
-             suppress: Iterable[str]) -> tuple:
-    from .model import analyze_system
+             suppress: Iterable[str]) -> Tuple[Report, LintContext]:
+    from .model import _lint
 
-    system = build_system(dict(spec), sim=Simulator("lint-fix"))
-    flows = analyze_flows(system)
-    report = analyze_system(system, suppress=suppress)
-    return system, flows, report
+    return _lint(build_system(dict(spec), sim=Simulator("lint-fix")),
+                 suppress)
+
 
 def _personality(spec: Mapping[str, Any]) -> Optional[str]:
     name = spec.get("personality")
@@ -76,13 +73,14 @@ def plan_fixes(spec: Mapping[str, Any], *,
     if not isinstance(spec, Mapping):
         raise FixError(
             f"fixes need a declarative spec dict, got {type(spec).__name__}")
-    system, flows, report = _analyze(spec, suppress)
+    report, context = _analyze(spec, suppress)
+    system, model = context.system, context.model
+    assert model is not None
     rules_hit = {d.rule for d in report.diagnostics}
     fixes: List[Dict[str, Any]] = []
     personality = _personality(spec)
 
     if "RTS181" in rules_hit and personality is None:
-        model = BlockingModel(system, flows)
         for name, resource in sorted(model.resources.items()):
             if resource.protocol != "ceiling":
                 continue
@@ -98,7 +96,7 @@ def plan_fixes(spec: Mapping[str, Any], *,
             })
 
     if "RTS182" in rules_hit:
-        changes = suggest_priorities(system, flows)
+        changes = context.priority_changes
         mapped: Dict[str, int] = {}
         for task, generic in sorted(changes.items()):
             value = _spec_priority(personality, generic)
@@ -114,7 +112,6 @@ def plan_fixes(spec: Mapping[str, Any], *,
             })
 
     if "RTS183" in rules_hit:
-        model = BlockingModel(system, flows)
         for name in sorted(system.functions):
             fn = system.functions[name]
             declared = getattr(fn, "max_blocking", None)
@@ -150,7 +147,7 @@ def _discharged(spec: Mapping[str, Any], fix: Dict[str, Any],
                 suppress: Iterable[str]) -> bool:
     """Whether re-linting the patched spec clears the targeted finding."""
     patched = apply_fixes(spec, [fix])
-    _, _, report = _analyze(patched, suppress)
+    report, _ = _analyze(patched, suppress)
     rule_id = fix["rule"]
     if fix["kind"] == "ceiling":
         marker = f"shared {fix['relation']}"

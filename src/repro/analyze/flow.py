@@ -149,6 +149,8 @@ class TaskFlow:
         default_factory=list)
     #: container variable -> locks held at *every* write to it.
     writes: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+    #: Every ``(kind, target)`` pair among the tree's effects.
+    keys: FrozenSet[Tuple[str, Optional[str]]] = frozenset()
 
     @property
     def exact(self) -> bool:
@@ -229,6 +231,9 @@ class _LockInterpreter:
         for item in node.items:
             if not normal:
                 break
+            if isinstance(item, Effect):
+                normal = self._effect(item, normal)  # never exits
+                continue
             out = self._node(item, normal)
             normal = out.normal
             brk |= out.brk
@@ -383,6 +388,8 @@ class _LockInterpreter:
 def analyze_task(fn: Any, shared_vars: Optional[Set[str]] = None) -> TaskFlow:
     """Run flow analysis over one function's behavior."""
     usage = TaskLockUsage(fn)
+    effects = task_effects(fn)
+    keys = _effect_keys(effects.root) if effects is not None else frozenset()
     declared = getattr(fn, "lock_order", None)
     if declared:
         chain = list(declared)
@@ -390,34 +397,33 @@ def analyze_task(fn: Any, shared_vars: Optional[Set[str]] = None) -> TaskFlow:
         for index, acquired in enumerate(chain[1:], start=1):
             for holding in chain[:index]:
                 usage.nested.append((holding, acquired))
-        return TaskFlow(function=fn, effects=task_effects(fn),
-                        usage=usage, declared=True)
-    effects = task_effects(fn)
-    flow = TaskFlow(function=fn, effects=effects, usage=usage)
+        return TaskFlow(function=fn, effects=effects, usage=usage,
+                        declared=True, keys=keys)
+    flow = TaskFlow(function=fn, effects=effects, usage=usage, keys=keys)
     if effects is not None:
-        shared = shared_vars if shared_vars is not None else \
-            _behavior_shared_names(effects)
+        shared = shared_vars if shared_vars is not None else {
+            target for kind, target in keys if target and kind in (
+                "lock", "unlock", "shared_read", "shared_write")
+        }
         _LockInterpreter(flow, shared).run(effects.root)
     return flow
 
 
-def _behavior_shared_names(effects: TaskEffects) -> Set[str]:
-    """Lock targets named in the tree (fallback when no system given)."""
-    names: Set[str] = set()
-    stack: List[Node] = [effects.root]
+def _effect_keys(root: Node) -> FrozenSet[Tuple[str, Optional[str]]]:
+    """The ``(kind, target)`` pairs of every effect in the tree."""
+    keys: Set[Tuple[str, Optional[str]]] = set()
+    stack: List[Node] = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, Effect):
-            if node.kind in ("lock", "unlock", "shared_read",
-                            "shared_write") and node.target:
-                names.add(node.target)
+            keys.add((node.kind, node.target))
         elif isinstance(node, Seq):
             stack.extend(node.items)
         elif isinstance(node, Branch):
             stack.extend(node.arms)
         elif isinstance(node, Loop):
             stack.append(node.body)
-    return names
+    return frozenset(keys)
 
 
 def analyze_flows(system: Any) -> Dict[str, TaskFlow]:
@@ -665,11 +671,16 @@ def _check_starvation(report: Report, system: Any,
         for name, relation in system.relations.items()
         if isinstance(relation, EventRelation)
     }
+    # A tree with no (kind, event) effect folds to exactly (0, 0), so
+    # only trees whose key summary names the event are folded.
     starved: Dict[str, Tuple[List[str], int]] = {}
     starved_waiters: Set[str] = set()
     for event_name in sorted(events):
         supply_hi: Optional[int] = events[event_name].pending()
-        for root in effect_roots.values():
+        signal = ("signal", event_name)
+        for name, root in effect_roots.items():
+            if signal not in flows[name].keys:
+                continue
             _, signals_hi = count_interval(root, "signal", event_name)
             if signals_hi is None:
                 supply_hi = None
@@ -678,9 +689,11 @@ def _check_starvation(report: Report, system: Any,
             supply_hi += signals_hi
         if supply_hi is None:
             continue
+        wait = ("wait", event_name)
         waiters = [
             name for name, root in sorted(effect_roots.items())
-            if count_interval(root, "wait", event_name)[0] is None
+            if wait in flows[name].keys
+            and count_interval(root, "wait", event_name)[0] is None
         ]
         if not waiters:
             continue

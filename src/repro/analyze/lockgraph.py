@@ -6,9 +6,8 @@ from the path-sensitive lock-set interpreter in
 :mod:`repro.analyze.flow`, which runs over the unified effect IR
 (:mod:`repro.analyze.effects`) and tracks branches, loops and early
 exits instead of smearing them into one linear order.  What remains
-here is the data shape (:class:`TaskLockUsage`), the declared
-``fn.lock_order`` override, and the cycle finder the RTS110 deadlock
-rule runs over the held->acquired graph.
+here is the data shape (:class:`TaskLockUsage`) and the cycle finder
+the RTS110 deadlock rule runs over the held->acquired graph.
 """
 
 from __future__ import annotations
@@ -25,18 +24,6 @@ class TaskLockUsage:
         self.acquires: Set[str] = set()
         #: (held, acquired) nesting pairs observed on some path.
         self.nested: List[Tuple[str, str]] = []
-
-
-def lock_usage(fn: Any) -> TaskLockUsage:
-    """Extract the shared-variable usage of one function.
-
-    A declared ``fn.lock_order = ["A", "B"]`` chain wins; otherwise the
-    behavior (script ops or generator source) is lowered to the effect
-    IR and interpreted path-sensitively.
-    """
-    from .flow import analyze_task
-
-    return analyze_task(fn).usage
 
 
 def find_cycles(edges: Dict[str, Set[str]]) -> List[List[str]]:

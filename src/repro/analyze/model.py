@@ -55,11 +55,12 @@ from .diagnostics import (
 )
 from .assign import check_assignment
 from .blocking import check_blocking
-from .flow import analyze_flows, check_flow
+from .context import LintContext
+from .flow import TaskFlow, check_flow
 from .lockgraph import find_cycles
 from .personality import check_personality
 from .multicore import check_domain
-from .schedulability import check_schedulability, periodic_profile
+from .schedulability import check_schedulability
 
 RTS101 = rule("RTS101", "duplicate priorities under a strict priority policy")
 RTS102 = rule("RTS102", "invalid (non-integer) task priority")
@@ -81,6 +82,12 @@ RTS153 = rule("RTS153", "no partitioned assignment found by first-fit")
 
 def analyze_system(system: Any, *, suppress: Iterable[str] = ()) -> Report:
     """Lint a built :class:`~repro.mcse.model.System`; returns a Report."""
+    return _lint(system, suppress)[0]
+
+
+def _lint(system: Any,
+          suppress: Iterable[str]) -> Tuple[Report, LintContext]:
+    """The report of one lint, and the context its rules shared."""
     suppressions = merge_suppressions(
         suppress,
         object_suppressions(system),
@@ -91,8 +98,7 @@ def analyze_system(system: Any, *, suppress: Iterable[str] = ()) -> Report:
           for obj in getattr(system, "domains", {}).values()),
     )
     report = Report(suppress=suppressions)
-    flows = analyze_flows(system)
-    usages = {name: flow.usage for name, flow in flows.items()}
+    context = LintContext(system)
     for processor in system.processors.values():
         _check_priorities(report, processor)
         _check_overheads(report, processor)
@@ -102,32 +108,35 @@ def analyze_system(system: Any, *, suppress: Iterable[str] = ()) -> Report:
         domain = getattr(processor, "domain", None)
         if domain is None or domain.kind == "partitioned":
             check_schedulability(
-                report, processor, location=_cpu_loc(processor)
+                report, context, processor, location=_cpu_loc(processor)
             )
-        _check_partitions(report, processor)
+        _check_partitions(report, context, processor)
     for domain in getattr(system, "domains", {}).values():
-        check_domain(report, domain)
-    _check_locks(report, system, usages)
-    _check_reachability(report, system, usages)
-    check_flow(report, system, flows)
-    blocking_model = check_blocking(report, system, flows)
-    check_assignment(report, system, flows, blocking_model)
+        check_domain(report, context, domain)
+    _check_locks(report, system, context.flows)
+    _check_reachability(report, system, context.flows)
+    check_flow(report, system, context.flows)
+    check_blocking(report, context)
+    check_assignment(report, context)
     check_personality(report, system)
-    return report
+    return report, context
 
 
 def analyze_processors(processors: Iterable[Any], *,
                        suppress: Iterable[str] = ()) -> Report:
     """Lint bare processors (no :class:`System` facade around them)."""
+    processors = list(processors)
     suppressions = merge_suppressions(
         suppress, *(object_suppressions(cpu) for cpu in processors)
     )
     report = Report(suppress=suppressions)
+    context = LintContext()
     for processor in processors:
         _check_priorities(report, processor)
         _check_overheads(report, processor)
-        check_schedulability(report, processor, location=_cpu_loc(processor))
-        _check_partitions(report, processor)
+        check_schedulability(report, context, processor,
+                             location=_cpu_loc(processor))
+        _check_partitions(report, context, processor)
     return report
 
 
@@ -218,7 +227,7 @@ def _check_overheads(report: Report, processor: Any) -> None:
 # Lock graph (RTS110 / RTS111 / RTS112)
 # ---------------------------------------------------------------------------
 def _check_locks(report: Report, system: Any,
-                 usages: Sequence[Any]) -> None:
+                 flows: Dict[str, TaskFlow]) -> None:
     shared_vars = {
         name: relation
         for name, relation in system.relations.items()
@@ -231,7 +240,8 @@ def _check_locks(report: Report, system: Any,
     edges: Dict[str, Set[str]] = {}
     edge_tasks: Dict[tuple, Set[str]] = {}
     users: Dict[str, List] = {name: [] for name in shared_vars}
-    for fn_name, usage in usages.items():
+    for fn_name, flow in flows.items():
+        usage = flow.usage
         fn = usage.function
         for shared in usage.acquires:
             if shared in users:
@@ -349,19 +359,22 @@ def _check_ceiling(report: Report, relation: Any,
 # Reachability (RTS130) and partitions (RTS140 / RTS141)
 # ---------------------------------------------------------------------------
 def _check_reachability(report: Report, system: Any,
-                        usages: Sequence[Any]) -> None:
+                        flows: Dict[str, TaskFlow]) -> None:
     """RTS130: a task whose first action waits on a dead event.
 
     Only claimed when the whole system is statically visible: every
-    function either has script ops or a parseable behavior source.  Any
-    opaque function may signal anything, so the rule stays silent then.
+    function's effect tree is exact (script ops, or a behavior whose
+    source parses with every effect target resolved).  Any opaque
+    function may signal anything, so the rule stays silent then.
     """
     from ..mcse.events import EventRelation
-    from .sourcescan import visible_signals
 
-    signalers = visible_signals(system)
-    if signalers is None:
-        return
+    signalers: Set[str] = set()
+    for flow in flows.values():
+        if flow.effects is None or not flow.effects.exact:
+            return
+        signalers.update(target for kind, target in flow.keys
+                         if kind == "signal" and target is not None)
     for name, fn in system.functions.items():
         ops = getattr(fn, "script_ops", None)
         if not ops:
@@ -398,7 +411,8 @@ def _first_op(ops: Sequence[Any]) -> Optional[Tuple[str, List[Any]]]:
     return None
 
 
-def _check_partitions(report: Report, processor: Any) -> None:
+def _check_partitions(report: Report, context: LintContext,
+                      processor: Any) -> None:
     policy = processor.policy
     if not isinstance(policy, TimePartitionPolicy):
         return
@@ -420,7 +434,7 @@ def _check_partitions(report: Report, processor: Any) -> None:
                 hint="add a window for the partition or fix the label",
             )
             continue
-        profile = periodic_profile(task)
+        profile = context.profile(task)
         if profile is None:
             continue
         # demand inside one major frame, charged to the partition window

@@ -18,17 +18,17 @@ so heterogeneous-speed analysis cannot drift from the simulator.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
+from ..analysis.response_time import PeriodicTask
 from .diagnostics import Report
-from .schedulability import periodic_profile
+
+if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
+    from .context import LintContext
 
 
-def _nominal_utilization(task: Any) -> Optional[float]:
-    """WCET/period in *nominal* (speed-1) units, or ``None``."""
-    profile = periodic_profile(task)
-    if profile is None:
-        return None
+def _nominal_utilization(profile: PeriodicTask, task: Any) -> float:
+    """WCET/period in *nominal* (speed-1) units."""
     # periodic_profile scales the WCET onto the task's home core; undo
     # that so domain-level math can apply per-core speeds itself
     speed = getattr(task.processor, "speed", 1.0)
@@ -40,16 +40,17 @@ def _domain_loc(domain: Any) -> str:
     return f"domain {domain.name}"
 
 
-def check_domain(report: Report, domain: Any) -> None:
+def check_domain(report: Report, context: LintContext,
+                 domain: Any) -> None:
     """Run every RTS15x rule for one scheduling domain."""
     from .model import RTS150, RTS151, RTS152, RTS153  # circular-import guard
 
     _check_affinity(report, domain, RTS152)
     utilizations: List[Tuple[Any, float]] = []
     for task in domain.tasks():
-        utilization = _nominal_utilization(task)
-        if utilization is not None:
-            utilizations.append((task, utilization))
+        profile = context.profile(task)
+        if profile is not None:
+            utilizations.append((task, _nominal_utilization(profile, task)))
     if not utilizations:
         return
     capacity = sum(m.speed for m in domain.members)
@@ -157,18 +158,4 @@ def _check_first_fit(report: Report, domain: Any,
         )
 
 
-def domain_capacity_summary(domain: Any) -> str:
-    """One-line capacity digest used by reports and the CLI."""
-    capacity = sum(m.speed for m in domain.members)
-    total = 0.0
-    for task in domain.tasks():
-        utilization = _nominal_utilization(task)
-        if utilization is not None:
-            total += utilization
-    return (
-        f"{_domain_loc(domain)}: load {total:.3f} of capacity "
-        f"{capacity:.3f} over {len(domain.members)} core(s)"
-    )
-
-
-__all__ = ["check_domain", "domain_capacity_summary"]
+__all__ = ["check_domain"]

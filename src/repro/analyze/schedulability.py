@@ -25,16 +25,18 @@ the live pre-simulation processor state.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from ..analysis.response_time import (
     PeriodicTask,
     liu_layland_bound,
-    response_time_analysis,
     total_utilization,
 )
 from ..kernel.time import format_time
 from .diagnostics import Report
+
+if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
+    from .context import LintContext
 
 
 def script_profile(fn: Any) -> Optional[Tuple[int, int]]:
@@ -115,20 +117,16 @@ def resolve_overhead_costs(processor: Any) -> Optional[Tuple[int, int]]:
     return load + save, scheduling
 
 
-def check_schedulability(report: Report, processor: Any, *,
-                         location: str) -> None:
+def check_schedulability(report: Report, context: LintContext,
+                         processor: Any, *, location: str) -> None:
     """Run utilization and RTA rules for one processor's periodic tasks."""
     from .model import RTS103, RTS104, RTS105  # circular-import guard
 
-    profiles: List[PeriodicTask] = []
-    for task in processor.tasks:
-        profile = periodic_profile(task)
-        if profile is not None:
-            profiles.append(profile)
+    profiles = context.profiles(processor)
     if not profiles:
         return
 
-    costs = resolve_overhead_costs(processor)
+    costs = context.costs(processor)
     if costs is None:
         return  # RTS120 already reported the broken formula
     context_switch, scheduling = costs
@@ -169,9 +167,7 @@ def check_schedulability(report: Report, processor: Any, *,
                 hint="check the RTA results below; a load <= "
                      f"{bound:.3f} is sufficient (not necessary)",
             )
-        responses = response_time_analysis(
-            profiles, context_switch=context_switch, scheduling=scheduling
-        )
+        responses = context.zero_blocking_rta(processor)
         for profile in profiles:
             response = responses[profile.name]
             deadline = profile.effective_deadline

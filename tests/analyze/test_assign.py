@@ -2,8 +2,7 @@
 
 from repro.analyze import analyze_system, suggest_priorities
 from repro.analyze.assign import opa_assignment
-from repro.analyze.blocking import BlockingModel
-from repro.analyze.flow import analyze_flows
+from repro.analyze.context import LintContext
 from repro.kernel.simulator import Simulator
 from repro.mcse.builder import build_system
 
@@ -94,11 +93,9 @@ class TestRTS182:
 class TestOpaAssignment:
     def _model(self, spec):
         system = build_system(spec, sim=Simulator("opa-test"))
-        flows = analyze_flows(system)
-        model = BlockingModel(system, flows)
-        from repro.analyze.assign import _profiles
+        context = LintContext(system)
         (processor,) = system.processors.values()
-        return _profiles(processor), model
+        return context.profiles(processor), context.model
 
     def test_finds_deadline_monotonic_swap(self):
         profiles, model = self._model(misassigned_spec())

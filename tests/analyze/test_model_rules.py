@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.analyze import analyze_system
+from repro.analyze import analyze_processors, analyze_system
+from repro.kernel.simulator import Simulator
 from repro.kernel.time import MS, US
 from repro.mcse import System
 from repro.mcse.builder import build_system
-from repro.rtos import CeilingSharedVariable, InheritanceSharedVariable
+from repro.mcse.function import Function
+from repro.rtos import (
+    CeilingSharedVariable,
+    InheritanceSharedVariable,
+    make_processor,
+)
 from repro.rtos.partitions import TimePartitionPolicy
 
 
@@ -124,6 +130,39 @@ class TestSchedulability:
         report = analyze_system(system)
         assert not report.by_rule("RTS103")
         assert not report.by_rule("RTS104")
+
+
+class TestBareProcessors:
+    def test_analyze_processors_runs_the_per_cpu_rules(self):
+        sim = Simulator("bare")
+
+        def body(fn):
+            yield from fn.execute(1 * US)
+
+        def cpu_with(name, *tasks):
+            cpu = make_processor(sim, name, policy="priority_preemptive")
+            for task_name, priority, wcet, period, deadline in tasks:
+                fn = Function(sim, task_name, body, priority=priority)
+                fn.wcet, fn.period, fn.deadline = wcet, period, deadline
+                cpu.map(fn)
+            return cpu
+
+        twins = cpu_with("twins", ("a", 5, 1 * US, 100 * US, None),
+                         ("b", 5, 1 * US, 100 * US, None))
+        overloaded = cpu_with("overloaded",
+                              ("c", 2, 80 * US, 100 * US, None),
+                              ("d", 1, 50 * US, 100 * US, None))
+        # load 0.95 fits, but d waits out all of c: 95us > 60us
+        late = cpu_with("late", ("e", 2, 40 * US, 100 * US, None),
+                        ("f", 1, 55 * US, 100 * US, 60 * US))
+        report = analyze_processors([twins, overloaded, late])
+        (dup,) = report.by_rule("RTS101")
+        assert dup.location == "processor twins"
+        (overload,) = report.by_rule("RTS103")
+        assert overload.location == "processor overloaded"
+        (miss,) = report.by_rule("RTS105")
+        assert miss.location == "processor late/f"
+        assert "95us" in miss.message and "60us" in miss.message
 
 
 class TestLockGraph:
