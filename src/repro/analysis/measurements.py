@@ -13,6 +13,8 @@ from typing import List, Optional, Tuple
 
 from ..kernel.time import Time
 from ..trace.records import (
+    ACTIVATION_REASONS,
+    COMPLETION_STATES,
     AccessKind,
     AccessRecord,
     InterruptRecord,
@@ -210,21 +212,19 @@ def response_times(
     An *activation* is a transition into Ready from Waiting (wakeup); the
     *completion* is the next transition into a Waiting state or
     termination.  The initial creation also counts as an activation.
+    The rule is :data:`~repro.trace.records.ACTIVATION_REASONS` and
+    :data:`~repro.trace.records.COMPLETION_STATES`, the same job window
+    the deadline watchdog arms.
     """
     records = [r for r in recorder.of_type(StateRecord) if r.task == task]
     responses = []
     activation: Optional[Time] = None
     for record in records:
-        if record.state is TaskState.READY and record.reason in (
-            "woken", "timer", "created",
-        ):
+        if (record.state is TaskState.READY
+                and record.reason in ACTIVATION_REASONS):
             if activation is None:
                 activation = record.time
-        elif record.state in (
-            TaskState.WAITING,
-            TaskState.WAITING_RESOURCE,
-            TaskState.TERMINATED,
-        ):
+        elif record.state in COMPLETION_STATES:
             if activation is not None:
                 responses.append(record.time - activation)
                 activation = None

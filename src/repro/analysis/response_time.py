@@ -17,7 +17,6 @@ baseline for the benchmark sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -110,7 +109,9 @@ def _task_response(own_cost: Time, higher: List[Tuple[Time, Time]],
     for _ in range(max_iterations):
         interference = 0
         for period, load in higher:
-            interference += math.ceil(response / period) * load
+            # exact integer ceiling: a float quotient rounds a response
+            # just past a job boundary down once it exceeds 2**53 fs
+            interference += -(-response // period) * load
         new_response = own_cost + interference
         if new_response == response:
             return response

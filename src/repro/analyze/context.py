@@ -4,7 +4,7 @@
 :class:`LintContext` and its rules read from it instead of recomputing:
 the flows (one effect tree and key summary per function), the one
 :class:`~repro.analyze.blocking.BlockingModel`, and -- memoized on first
-use -- per-task periodic profiles, per-processor overhead costs, the
+use -- per-task periodic profiles, per-processor overhead probes, the
 zero-blocking RTA (RTS105, RTS180) and the blocking-charged RTA at the
 configured priorities (RTS180, RTS182).  A context without a system
 (:func:`~repro.analyze.model.analyze_processors`) has no flows and no
@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis.response_time import PeriodicTask, response_time_analysis
 from .blocking import BlockingModel, BlockingTerm, _with_blocking
 from .flow import TaskFlow, analyze_flows
-from .schedulability import periodic_profile, resolve_overhead_costs
+from .schedulability import OverheadProbe, periodic_profile, probe_overheads
 
 Responses = Dict[str, Optional[int]]
 
@@ -37,7 +37,7 @@ class LintContext:
         self.priority_changes: Dict[str, int] = {}
         self._profile: Dict[int, Optional[PeriodicTask]] = {}
         self._profiles: Dict[int, List[PeriodicTask]] = {}
-        self._costs: Dict[int, Optional[Tuple[int, int]]] = {}
+        self._overheads: Dict[int, OverheadProbe] = {}
         self._baseline: Dict[int, Responses] = {}
         self._charged: Dict[int, Tuple[Dict[str, BlockingTerm],
                                        Responses]] = {}
@@ -59,12 +59,16 @@ class LintContext:
             ]
         return self._profiles[key]
 
+    def overheads(self, processor: Any) -> OverheadProbe:
+        """The processor's one overhead probe (costs and RTS120 failures)."""
+        key = id(processor)
+        if key not in self._overheads:
+            self._overheads[key] = probe_overheads(processor)
+        return self._overheads[key]
+
     def costs(self, processor: Any) -> Optional[Tuple[int, int]]:
         """``(context_switch, scheduling)`` probed pre-simulation."""
-        key = id(processor)
-        if key not in self._costs:
-            self._costs[key] = resolve_overhead_costs(processor)
-        return self._costs[key]
+        return self.overheads(processor)[0]
 
     def zero_blocking_rta(self, processor: Any) -> Responses:
         """The processor's RTA with no blocking (costs must resolve)."""

@@ -43,7 +43,6 @@ import itertools
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..mcse.shared import SharedVariable
-from ..rtos.overheads import formula_arity_error
 from ..rtos.partitions import TimePartitionPolicy
 from ..rtos.policies import PriorityPreemptivePolicy, PriorityRoundRobinPolicy
 from ..rtos.services import CeilingSharedVariable, InheritanceSharedVariable
@@ -101,7 +100,7 @@ def _lint(system: Any,
     context = LintContext(system)
     for processor in system.processors.values():
         _check_priorities(report, processor)
-        _check_overheads(report, processor)
+        _check_overheads(report, context, processor)
         # members of a global/clustered domain pool their capacity, so
         # the per-core rules (which assume tasks are pinned to their
         # home core) would mis-report there; the RTS15x rules take over
@@ -133,7 +132,7 @@ def analyze_processors(processors: Iterable[Any], *,
     context = LintContext()
     for processor in processors:
         _check_priorities(report, processor)
-        _check_overheads(report, processor)
+        _check_overheads(report, context, processor)
         check_schedulability(report, context, processor,
                              location=_cpu_loc(processor))
         _check_partitions(report, context, processor)
@@ -190,37 +189,17 @@ def _check_priorities(report: Report, processor: Any) -> None:
 # ---------------------------------------------------------------------------
 # Overheads (RTS120)
 # ---------------------------------------------------------------------------
-def _check_overheads(report: Report, processor: Any) -> None:
-    overheads = processor.overheads
-    for component in ("scheduling", "context_load", "context_save"):
-        spec = getattr(overheads, f"_{component}", None)
-        if callable(spec):
-            # Same arity contract the Overheads constructor and the
-            # verifier's invariants enforce -- one shared helper so the
-            # probe can never disagree with the runtime.
-            arity_error = formula_arity_error(spec, "processor")
-            if arity_error is not None:
-                report.add(
-                    RTS120,
-                    report.ERROR,
-                    f"{_cpu_loc(processor)}/overheads.{component}",
-                    f"overhead formula {arity_error}",
-                    hint="formulas must accept the processor and return a "
-                         "non-negative int duration for every reachable "
-                         "state",
-                )
-                continue
-        try:
-            getattr(overheads, component)(processor)
-        except Exception as exc:
-            report.add(
-                RTS120,
-                report.ERROR,
-                f"{_cpu_loc(processor)}/overheads.{component}",
-                f"overhead formula failed pre-simulation probe: {exc}",
-                hint="formulas must accept the processor and return a "
-                     "non-negative int duration for every reachable state",
-            )
+def _check_overheads(report: Report, context: LintContext,
+                     processor: Any) -> None:
+    for component, message in context.overheads(processor)[1]:
+        report.add(
+            RTS120,
+            report.ERROR,
+            f"{_cpu_loc(processor)}/overheads.{component}",
+            message,
+            hint="formulas must accept the processor and return a "
+                 "non-negative int duration for every reachable state",
+        )
 
 
 # ---------------------------------------------------------------------------

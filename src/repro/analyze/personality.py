@@ -16,50 +16,36 @@ RTS171     zero-timeout polling inside a loop: a busy-wait spin on a
 
 The builder attaches each task's validated original op list as
 ``Function.personality_ops`` and marks unmapped (hardware-context)
-personality tasks as the ISR set; these rules scan that metadata.
+personality tasks as the ISR set; these rules scan that metadata
+against the registered personality's ``blocking_ops`` and
+``pollable_ops``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import AbstractSet, Any, List
 
 from .diagnostics import Report, rule
 
 RTS170 = rule("RTS170", "blocking kernel API call in an ISR-context task")
 RTS171 = rule("RTS171", "zero-timeout kernel poll inside a loop (busy-wait)")
 
-#: Poll-capable calls per personality: a trailing 0 timeout spins.
-_POLLABLE = {
-    "freertos": frozenset(
-        ("xQueueSend", "xQueueReceive", "xSemaphoreTake",
-         "ulTaskNotifyTake")
-    ),
-    "uitron": frozenset(
-        ("tslp_tsk", "twai_sem", "tsnd_mbx", "trcv_mbx", "twai_flg")
-    ),
-}
-
 #: Zero-timeout spellings (ITRON's TMO_POL constant included).
 _POLL_TIMEOUTS = (0, "0", "0s", "TMO_POL")
 
 
-def _blocking_ops(personality: str) -> frozenset:
-    if personality == "freertos":
-        from ..personality.freertos import BLOCKING_OPS
-        return BLOCKING_OPS
-    if personality == "uitron":
-        from ..personality.uitron import BLOCKING_OPS
-        return BLOCKING_OPS
-    return frozenset()
-
-
 def check_personality(report: Report, system: Any) -> None:
     """Run the RTS17x rules over a system built from a personality spec."""
-    personality = getattr(system, "personality", None)
-    if not personality:
+    kernel = getattr(system, "personality", None)
+    if not kernel:
         return
-    blocking = _blocking_ops(personality)
-    pollable = _POLLABLE.get(personality, frozenset())
+    from ..personality import PERSONALITIES  # only personality systems
+
+    personality = PERSONALITIES.get(kernel)
+    if personality is None:
+        return
+    blocking = personality.blocking_ops
+    pollable = personality.pollable_ops
     for name, fn in system.functions.items():
         ops = getattr(fn, "personality_ops", None)
         if not ops:
@@ -69,8 +55,9 @@ def check_personality(report: Report, system: Any) -> None:
               is_isr=is_isr, in_loop=False)
 
 
-def _scan(report: Report, task: str, ops: List, blocking: frozenset,
-          pollable: frozenset, *, is_isr: bool, in_loop: bool) -> None:
+def _scan(report: Report, task: str, ops: List, blocking: AbstractSet[str],
+          pollable: AbstractSet[str], *, is_isr: bool,
+          in_loop: bool) -> None:
     for op in ops:
         if not isinstance(op, (list, tuple)) or not op:
             continue

@@ -25,7 +25,7 @@ the live pre-simulation processor state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..analysis.response_time import (
     PeriodicTask,
@@ -33,6 +33,7 @@ from ..analysis.response_time import (
     total_utilization,
 )
 from ..kernel.time import format_time
+from ..rtos.overheads import formula_arity_error
 from .diagnostics import Report
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
@@ -100,21 +101,44 @@ def periodic_profile(task: Any) -> Optional[PeriodicTask]:
     )
 
 
-def resolve_overhead_costs(processor: Any) -> Optional[Tuple[int, int]]:
-    """(context_switch, scheduling) costs probed pre-simulation.
+#: ``(costs, failures)`` of one overhead probe: ``(context_switch,
+#: scheduling)`` or ``None`` when a formula failed, and one
+#: ``(component, message)`` per failed formula in component order.
+OverheadProbe = Tuple[Optional[Tuple[int, int]], List[Tuple[str, str]]]
+
+
+def probe_overheads(processor: Any) -> OverheadProbe:
+    """Evaluate each overhead formula once, pre-simulation.
 
     Formula overheads are evaluated against the live processor (ready
-    queue empty, t=0).  Returns ``None`` when a formula fails -- the
-    overhead rule (RTS120) reports that separately.
+    queue empty, t=0).  A formula that cannot take the processor, raises
+    or returns an invalid duration is a failure (RTS120 reports it) and
+    leaves no costs for the RTA rules.
     """
     overheads = processor.overheads
-    try:
-        scheduling = overheads.scheduling(processor)
-        load = overheads.context_load(processor)
-        save = overheads.context_save(processor)
-    except Exception:
-        return None
-    return load + save, scheduling
+    values: Dict[str, int] = {}
+    failures: List[Tuple[str, str]] = []
+    for component in ("scheduling", "context_load", "context_save"):
+        spec = getattr(overheads, f"_{component}", None)
+        if callable(spec):
+            # Same arity contract the Overheads constructor and the
+            # verifier's invariants enforce -- one shared helper so the
+            # probe can never disagree with the runtime.
+            arity_error = formula_arity_error(spec, "processor")
+            if arity_error is not None:
+                failures.append((component,
+                                 f"overhead formula {arity_error}"))
+                continue
+        try:
+            values[component] = getattr(overheads, component)(processor)
+        except Exception as exc:
+            failures.append((
+                component,
+                f"overhead formula failed pre-simulation probe: {exc}"))
+    if failures:
+        return None, failures
+    return ((values["context_load"] + values["context_save"],
+             values["scheduling"]), failures)
 
 
 def check_schedulability(report: Report, context: LintContext,

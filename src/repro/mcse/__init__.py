@@ -12,7 +12,7 @@ The model is platform-independent: map functions onto RTOS processors
 (:mod:`repro.rtos`) or leave them as concurrent hardware.
 """
 
-from .builder import build_system, compile_script
+from .builder import build_system
 from .context import HARDWARE_CONTEXT, ExecutionContext, HardwareContext
 from .events import BooleanEvent, CounterEvent, EventRelation, FugitiveEvent
 from .function import Function
@@ -37,5 +37,4 @@ __all__ = [
     "System",
     "Waiter",
     "build_system",
-    "compile_script",
 ]

@@ -534,13 +534,6 @@ def _parse_affinity(system: System, name: str, value) -> tuple:
 # ---------------------------------------------------------------------------
 # Script interpreter
 # ---------------------------------------------------------------------------
-def compile_script(system: System, script: List) -> Callable[[Function], Generator]:
-    """Turn a script op-list into a behavior callable."""
-    return _script_behavior(
-        system, _validate_block(system, script, path="script")
-    )
-
-
 def _script_behavior(system: System, ops: List) -> Callable[[Function], Generator]:
     """The behavior interpreting already validated ``ops`` on ``system``."""
 

@@ -12,10 +12,12 @@ mutex                             shared variable, priority inheritance
 task notification                 implicit counter event ``{task}.notify``
 ``vTaskDelay``                    ``delay``
 ``vTaskDelayUntil``               ``delay_until``
-``xQueueSend[FromISR]``           ``write`` (+ timeout; FromISR polls)
+``xQueueSend``                    ``write`` (+ timeout)
+``xQueueSendFromISR``             ``write`` with a zero timeout (polls)
 ``xQueueReceive``                 ``read`` (+ timeout)
 ``xSemaphoreTake``                ``wait`` (semaphore) / ``lock`` (mutex)
-``xSemaphoreGive[FromISR]``       ``signal`` (semaphore) / ``unlock``
+``xSemaphoreGive``                ``signal`` (semaphore) / ``unlock``
+``xSemaphoreGiveFromISR``         ``signal`` (semaphores only)
 ``xTaskNotifyGive``               ``signal`` on the task's notify event
 ``vTaskNotifyGiveFromISR``        same (ISR-safe variant)
 ``ulTaskNotifyTake``              ``wait`` on own notify event (+ timeout)
@@ -42,106 +44,144 @@ number = more urgent), so they pass through unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
 from ..errors import BuildError
-from .base import Lowering, Personality, check_keys, entry_name, \
+from .base import LowerContext, Personality, copy_overheads, \
     parse_timeout_spec
 
-_TOP_KEYS = ("name", "personality", "config", "objects", "tasks",
-             "lint_suppress")
-_CONFIG_KEYS = (
-    "configUSE_PREEMPTION", "configUSE_TIME_SLICING", "tick", "engine",
-    "processor", "scheduling_duration", "context_load_duration",
-    "context_save_duration",
-)
-_OBJECT_KEYS = {
-    "queue": ("kind", "name", "length"),
-    "binary_semaphore": ("kind", "name", "initial"),
-    "counting_semaphore": ("kind", "name", "max_count", "initial"),
-    "mutex": ("kind", "name"),
-}
-_TASK_KEYS = (
-    "name", "priority", "script", "isr", "start_time", "wcet", "period",
-    "deadline", "jitter", "max_blocking", "affinity", "lint_suppress",
-)
-#: Task entry keys copied verbatim onto the generic function entry.
-_TASK_PASSTHROUGH = ("priority", "start_time", "wcet", "period",
-                     "deadline", "jitter", "max_blocking", "affinity",
-                     "lint_suppress")
+_SEMAPHORES = ("binary_semaphore", "counting_semaphore")
 
-#: API ops that may block the caller (the RTS170 ISR-misuse set).
-BLOCKING_OPS = frozenset(
-    ("vTaskDelay", "vTaskDelayUntil", "xQueueSend", "xQueueReceive",
-     "xSemaphoreTake", "ulTaskNotifyTake")
-)
+
+def _delay(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[vTaskDelay, duration]")
+    return ["delay", args[0]]
+
+
+def _delay_until(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[vTaskDelayUntil, period]")
+    return ["delay_until", args[0]]
+
+
+def _yield(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 0, 0, "[taskYIELD]")
+    # A zero delay releases the CPU and re-enters the ready queue:
+    # exactly FreeRTOS's round-robin-to-equal-priority yield.
+    return ["delay", 0]
+
+
+def _queue_send(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 3, "[xQueueSend, queue, value, tmo?]")
+    ctx.object(args[0], where, ("queue",))
+    return ctx.with_timeout(["write", args[0], args[1]],
+                            args[2] if len(args) > 2 else None)
+
+
+def _queue_send_isr(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[xQueueSendFromISR, queue, value]")
+    ctx.object(args[0], where, ("queue",))
+    # FromISR sends never block: lower to a non-blocking poll.
+    return ["write", args[0], args[1], 0]
+
+
+def _queue_receive(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 2, "[xQueueReceive, queue, tmo?]")
+    ctx.object(args[0], where, ("queue",))
+    return ctx.with_timeout(["read", args[0]],
+                            args[1] if len(args) > 1 else None)
+
+
+def _take(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 2, "[xSemaphoreTake, sem_or_mutex, tmo?]")
+    kind = ctx.object(args[0], where, _SEMAPHORES + ("mutex",))
+    timeout = parse_timeout_spec(args[1] if len(args) > 1 else None)
+    if kind == "mutex":
+        if timeout is not None:
+            raise BuildError(
+                f"{where}: mutex take supports only portMAX_DELAY "
+                "(the generic lock primitive blocks until granted)"
+            )
+        return ["lock", args[0]]
+    return ctx.with_timeout(["wait", args[0]], timeout)
+
+
+def _give(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[xSemaphoreGive, sem_or_mutex]")
+    kind = ctx.object(args[0], where, _SEMAPHORES + ("mutex",))
+    if kind == "mutex":
+        return ["unlock", args[0]]
+    return ["signal", args[0]]
+
+
+def _give_isr(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[xSemaphoreGiveFromISR, sem]")
+    ctx.object(args[0], where, _SEMAPHORES)
+    return ["signal", args[0]]
+
+
+def _notify_give(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[xTaskNotifyGive, task]")
+    return ["signal", ctx.event(args[0])]
+
+
+def _notify_take(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 0, 1, "[ulTaskNotifyTake, tmo?]")
+    return ctx.with_timeout(["wait", ctx.event(ctx.task)],
+                            args[0] if args else None)
 
 
 class FreeRTOSPersonality(Personality):
     """Lower a FreeRTOS-flavored spec onto the generic model."""
 
     name = "freertos"
+    label = "FreeRTOS"
     description = (
         "FreeRTOS tasks, queues, semaphores, PI mutexes and task "
         "notifications; configUSE_PREEMPTION x configUSE_TIME_SLICING"
     )
-    api_ops = (
-        "vTaskDelay", "vTaskDelayUntil", "taskYIELD",
-        "xQueueSend", "xQueueSendFromISR", "xQueueReceive",
-        "xSemaphoreTake", "xSemaphoreGive", "xSemaphoreGiveFromISR",
-        "xTaskNotifyGive", "vTaskNotifyGiveFromISR", "ulTaskNotifyTake",
-        "execute", "loop",
+    config_keys = (
+        "configUSE_PREEMPTION", "configUSE_TIME_SLICING", "tick", "engine",
+        "processor", "scheduling_duration", "context_load_duration",
+        "context_save_duration",
     )
-    object_kinds = tuple(_OBJECT_KEYS)
-
-    # ------------------------------------------------------------------
-    def lower(self, spec: Dict) -> Lowering:
-        check_keys("freertos spec", spec, _TOP_KEYS)
-        config = self._config(dict(spec.get("config") or {}))
-        kinds, relations = self._objects(spec.get("objects") or [])
-        tasks = spec.get("tasks") or []
-        if not isinstance(tasks, list):
-            raise BuildError("freertos spec: tasks must be a list")
-        task_names = [
-            entry_name("freertos task", t) for t in tasks
-            if isinstance(t, dict)
-        ]
-        notify: Set[str] = set()
-        functions: List[Dict] = []
-        api_ops: Dict[str, List] = {}
-        for entry in tasks:
-            if not isinstance(entry, dict):
-                raise BuildError(
-                    f"freertos spec: each task is a dict, got {entry!r}"
-                )
-            fn = self._task(entry, config, kinds, set(task_names), notify)
-            api_ops[fn["name"]] = entry.get("script") or []
-            functions.append(fn)
-        # Task notifications become per-task counter events, appended in
-        # deterministic (sorted) order after the declared objects.
-        for task in sorted(notify):
-            if task not in task_names:
-                raise BuildError(
-                    f"freertos spec: notification target {task!r} is not "
-                    f"a task; tasks: {sorted(task_names)}"
-                )
-            relations.append({
-                "kind": "event", "name": f"{task}.notify",
-                "policy": "counter",
-            })
-        generic = {
-            "name": spec.get("name", "freertos"),
-            "relations": relations,
-            "processors": [self._processor(config)],
-            "functions": functions,
-        }
-        if "lint_suppress" in spec:
-            generic["lint_suppress"] = spec["lint_suppress"]
-        return Lowering(self.name, generic, api_ops, config)
+    object_keys = {
+        "queue": ("kind", "name", "length"),
+        "binary_semaphore": ("kind", "name", "initial"),
+        "counting_semaphore": ("kind", "name", "max_count", "initial"),
+        "mutex": ("kind", "name"),
+    }
+    task_passthrough = ("priority", "start_time", "wcet", "period",
+                        "deadline", "jitter", "max_blocking", "affinity",
+                        "lint_suppress")
+    ops = {
+        "vTaskDelay": _delay,
+        "vTaskDelayUntil": _delay_until,
+        "taskYIELD": _yield,
+        "xQueueSend": _queue_send,
+        "xQueueSendFromISR": _queue_send_isr,
+        "xQueueReceive": _queue_receive,
+        "xSemaphoreTake": _take,
+        "xSemaphoreGive": _give,
+        "xSemaphoreGiveFromISR": _give_isr,
+        "xTaskNotifyGive": _notify_give,
+        "vTaskNotifyGiveFromISR": _notify_give,
+        "ulTaskNotifyTake": _notify_take,
+        "execute": LowerContext.execute,
+        "loop": LowerContext.loop,
+    }
+    # Task notifications: a per-task counter event ``{task}.notify``.
+    implicit_suffix = "notify"
+    implicit_noun = "notification"
+    blocking_ops = frozenset(
+        ("vTaskDelay", "vTaskDelayUntil", "xQueueSend", "xQueueReceive",
+         "xSemaphoreTake", "ulTaskNotifyTake")
+    )
+    pollable_ops = frozenset(
+        ("xQueueSend", "xQueueReceive", "xSemaphoreTake", "ulTaskNotifyTake")
+    )
 
     # ------------------------------------------------------------------
     def _config(self, config: Dict) -> Dict:
-        check_keys("freertos config", config, _CONFIG_KEYS)
         resolved = {
             "configUSE_PREEMPTION": self._flag(
                 config, "configUSE_PREEMPTION", 1),
@@ -151,11 +191,7 @@ class FreeRTOSPersonality(Personality):
             "engine": config.get("engine", "procedural"),
             "processor": config.get("processor", "cpu0"),
         }
-        for key in ("scheduling_duration", "context_load_duration",
-                    "context_save_duration"):
-            if key in config:
-                resolved[key] = config[key]
-        return resolved
+        return copy_overheads(config, resolved)
 
     @staticmethod
     def _flag(config: Dict, key: str, default: int) -> int:
@@ -166,11 +202,8 @@ class FreeRTOSPersonality(Personality):
         return value
 
     def _processor(self, config: Dict) -> Dict:
-        cpu = {"name": config["processor"], "engine": config["engine"]}
-        for key in ("scheduling_duration", "context_load_duration",
-                    "context_save_duration"):
-            if key in config:
-                cpu[key] = config[key]
+        cpu = copy_overheads(
+            config, {"name": config["processor"], "engine": config["engine"]})
         if config["configUSE_PREEMPTION"]:
             if config["configUSE_TIME_SLICING"]:
                 cpu["policy"] = "priority_round_robin"
@@ -184,33 +217,7 @@ class FreeRTOSPersonality(Personality):
             cpu["preemptive"] = False
         return cpu
 
-    # ------------------------------------------------------------------
-    def _objects(self, objects: List) -> Tuple[Dict[str, str], List[Dict]]:
-        kinds: Dict[str, str] = {}
-        relations: List[Dict] = []
-        for entry in objects:
-            if not isinstance(entry, dict):
-                raise BuildError(
-                    f"freertos spec: each object is a dict, got {entry!r}"
-                )
-            kind = entry.get("kind")
-            if kind not in _OBJECT_KEYS:
-                raise BuildError(
-                    f"freertos object: unknown kind {kind!r}; "
-                    f"pick one of {sorted(_OBJECT_KEYS)}"
-                )
-            where = f"freertos {kind}"
-            check_keys(where, entry, _OBJECT_KEYS[kind])
-            name = entry_name(where, entry)
-            if name in kinds:
-                raise BuildError(f"freertos spec: duplicate object name "
-                                 f"{name!r}")
-            kinds[name] = kind
-            relations.append(self._object_relation(kind, name, entry))
-        return kinds, relations
-
-    @staticmethod
-    def _object_relation(kind: str, name: str, entry: Dict) -> Dict:
+    def _object_relation(self, kind: str, name: str, entry: Dict) -> Dict:
         if kind == "queue":
             length = entry.get("length", 8)
             if not isinstance(length, int) or length < 1:
@@ -245,189 +252,3 @@ class FreeRTOSPersonality(Personality):
                     "max_count": max_count, "initial": initial}
         # mutex: FreeRTOS mutexes always run priority inheritance.
         return {"kind": "shared", "name": name, "protocol": "inheritance"}
-
-    # ------------------------------------------------------------------
-    def _task(self, entry: Dict, config: Dict, kinds: Dict[str, str],
-              task_names: Set[str], notify: Set[str]) -> Dict:
-        name = entry_name("freertos task", entry)
-        where = f"freertos task {name!r}"
-        check_keys(where, entry, _TASK_KEYS)
-        isr = bool(entry.get("isr", False))
-        script = entry.get("script")
-        if not isinstance(script, list):
-            raise BuildError(f"{where}: needs a script (list of ops)")
-        ctx = _LowerContext(self, name, kinds, task_names, notify)
-        fn: Dict = {"name": name, "script": ctx.lower_ops(script, where)}
-        if not isr:
-            # ISR "tasks" stay unmapped: they model interrupt sources
-            # running in hardware context, outside the scheduler.
-            fn["processor"] = config["processor"]
-        for key in _TASK_PASSTHROUGH:
-            if key in entry:
-                fn[key] = entry[key]
-        return fn
-
-
-class _LowerContext:
-    """Per-task lowering state (object kinds, notify-event discovery)."""
-
-    def __init__(self, personality: FreeRTOSPersonality, task: str,
-                 kinds: Dict[str, str], task_names: Set[str],
-                 notify: Set[str]) -> None:
-        self.personality = personality
-        self.task = task
-        self.kinds = kinds
-        self.task_names = task_names
-        self.notify = notify
-
-    def lower_ops(self, ops: List, where: str) -> List:
-        lowered = []
-        for index, op in enumerate(ops):
-            if not isinstance(op, (list, tuple)) or not op or \
-                    not isinstance(op[0], str):
-                raise BuildError(
-                    f"{where}: op #{index} must be [name, args...], "
-                    f"got {op!r}"
-                )
-            lowered.append(self.lower_op(list(op), f"{where} op #{index}"))
-        return lowered
-
-    def lower_op(self, op: List, where: str) -> List:
-        name, args = op[0], op[1:]
-        method = _OP_HANDLERS.get(name)
-        if method is None:
-            raise BuildError(
-                f"{where}: unknown FreeRTOS op {name!r}; accepted ops: "
-                f"{sorted(_OP_HANDLERS)}"
-            )
-        return method(self, args, where)
-
-    # -- helpers -------------------------------------------------------
-    def _arity(self, args: List, where: str, low: int, high: int,
-               usage: str) -> None:
-        if not low <= len(args) <= high:
-            raise BuildError(f"{where}: usage {usage}")
-
-    def _object(self, ref: Any, where: str,
-                accepted: Tuple[str, ...]) -> str:
-        kind = self.kinds.get(ref)
-        if kind is None:
-            raise BuildError(
-                f"{where}: unknown object {ref!r}; objects: "
-                f"{sorted(self.kinds)}"
-            )
-        if kind not in accepted:
-            raise BuildError(
-                f"{where}: {ref!r} is a {kind}, expected one of "
-                f"{sorted(accepted)}"
-            )
-        return kind
-
-    @staticmethod
-    def _with_timeout(base: List, timeout: Any) -> List:
-        timeout = parse_timeout_spec(timeout)
-        if timeout is None:
-            return base
-        return base + [timeout]
-
-    # -- op lowerings --------------------------------------------------
-    def _delay(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[vTaskDelay, duration]")
-        return ["delay", args[0]]
-
-    def _delay_until(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[vTaskDelayUntil, period]")
-        return ["delay_until", args[0]]
-
-    def _yield(self, args: List, where: str) -> List:
-        self._arity(args, where, 0, 0, "[taskYIELD]")
-        # A zero delay releases the CPU and re-enters the ready queue:
-        # exactly FreeRTOS's round-robin-to-equal-priority yield.
-        return ["delay", 0]
-
-    def _queue_send(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 3, "[xQueueSend, queue, value, tmo?]")
-        self._object(args[0], where, ("queue",))
-        return self._with_timeout(["write", args[0], args[1]],
-                                  args[2] if len(args) > 2 else None)
-
-    def _queue_send_isr(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[xQueueSendFromISR, queue, value]")
-        self._object(args[0], where, ("queue",))
-        # FromISR sends never block: lower to a non-blocking poll.
-        return ["write", args[0], args[1], 0]
-
-    def _queue_receive(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 2, "[xQueueReceive, queue, tmo?]")
-        self._object(args[0], where, ("queue",))
-        return self._with_timeout(["read", args[0]],
-                                  args[1] if len(args) > 1 else None)
-
-    def _take(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 2, "[xSemaphoreTake, sem_or_mutex, tmo?]")
-        kind = self._object(
-            args[0], where,
-            ("binary_semaphore", "counting_semaphore", "mutex"))
-        timeout = parse_timeout_spec(args[1] if len(args) > 1 else None)
-        if kind == "mutex":
-            if timeout is not None:
-                raise BuildError(
-                    f"{where}: mutex take supports only portMAX_DELAY "
-                    "(the generic lock primitive blocks until granted)"
-                )
-            return ["lock", args[0]]
-        return self._with_timeout(["wait", args[0]], timeout)
-
-    def _give(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[xSemaphoreGive, sem_or_mutex]")
-        kind = self._object(
-            args[0], where,
-            ("binary_semaphore", "counting_semaphore", "mutex"))
-        if kind == "mutex":
-            return ["unlock", args[0]]
-        return ["signal", args[0]]
-
-    def _give_isr(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[xSemaphoreGiveFromISR, sem]")
-        self._object(args[0], where,
-                     ("binary_semaphore", "counting_semaphore"))
-        return ["signal", args[0]]
-
-    def _notify_give(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[xTaskNotifyGive, task]")
-        self.notify.add(args[0])
-        return ["signal", f"{args[0]}.notify"]
-
-    def _notify_take(self, args: List, where: str) -> List:
-        self._arity(args, where, 0, 1, "[ulTaskNotifyTake, tmo?]")
-        self.notify.add(self.task)
-        return self._with_timeout(["wait", f"{self.task}.notify"],
-                                  args[0] if args else None)
-
-    def _execute(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[execute, duration]")
-        return ["execute", args[0]]
-
-    def _loop(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[loop, n_or_null, body]")
-        if not isinstance(args[1], list):
-            raise BuildError(f"{where}: loop body must be a list of ops")
-        return ["loop", args[0], self.lower_ops(args[1], where)]
-
-
-_OP_HANDLERS = {
-    "vTaskDelay": _LowerContext._delay,
-    "vTaskDelayUntil": _LowerContext._delay_until,
-    "taskYIELD": _LowerContext._yield,
-    "xQueueSend": _LowerContext._queue_send,
-    "xQueueSendFromISR": _LowerContext._queue_send_isr,
-    "xQueueReceive": _LowerContext._queue_receive,
-    "xSemaphoreTake": _LowerContext._take,
-    "xSemaphoreGive": _LowerContext._give,
-    "xSemaphoreGiveFromISR": _LowerContext._give_isr,
-    "xTaskNotifyGive": _LowerContext._notify_give,
-    "vTaskNotifyGiveFromISR": _LowerContext._notify_give,
-    "ulTaskNotifyTake": _LowerContext._notify_take,
-    "execute": _LowerContext._execute,
-    "loop": _LowerContext._loop,
-}

@@ -39,146 +39,174 @@ The scheduler is the standard's fixed-priority preemptive dispatcher
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Dict, List
 
 from ..errors import BuildError
-from .base import Lowering, Personality, check_keys, entry_name, \
-    parse_timeout_spec
-
-_TOP_KEYS = ("name", "personality", "config", "objects", "tasks",
-             "lint_suppress")
-_CONFIG_KEYS = (
-    "engine", "processor", "scheduling_duration",
-    "context_load_duration", "context_save_duration",
-)
-_OBJECT_KEYS = {
-    "semaphore": ("kind", "name", "max_count", "initial"),
-    "eventflag": ("kind", "name", "initial", "clear_on_wake"),
-    "mailbox": ("kind", "name", "capacity"),
-}
-_TASK_KEYS = (
-    "name", "priority", "script", "isr", "start_time", "wcet", "period",
-    "deadline", "jitter", "max_blocking", "affinity", "lint_suppress",
-)
-_TASK_PASSTHROUGH = ("start_time", "wcet", "period", "deadline",
-                     "jitter", "max_blocking", "affinity", "lint_suppress")
-
-#: Service calls that may block the caller (RTS170 audits these inside
-#: ISR tasks; ITRON only allows the i-prefixed non-blocking variants).
-BLOCKING_OPS = frozenset(
-    ("dly_tsk", "slp_tsk", "tslp_tsk", "wai_sem", "twai_sem",
-     "snd_mbx", "tsnd_mbx", "rcv_mbx", "trcv_mbx", "wai_flg", "twai_flg")
-)
+from .base import LowerContext, Personality, copy_overheads
 
 _WAIT_MODES = {"TWF_ANDW": "and", "TWF_ORW": "or", "and": "and",
                "or": "or"}
+
+
+def _dly_tsk(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[dly_tsk, duration]")
+    return ["delay", args[0]]
+
+
+def _slp_tsk(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 0, 0, "[slp_tsk]")
+    return ["wait", ctx.event(ctx.task)]
+
+
+def _tslp_tsk(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[tslp_tsk, tmo]")
+    return ctx.with_timeout(["wait", ctx.event(ctx.task)], args[0])
+
+
+def _wup_tsk(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[wup_tsk, task]")
+    return ["signal", ctx.event(args[0])]
+
+
+def _wai_sem(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[wai_sem, semaphore]")
+    ctx.object(args[0], where, ("semaphore",))
+    return ["wait", args[0]]
+
+
+def _twai_sem(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[twai_sem, semaphore, tmo]")
+    ctx.object(args[0], where, ("semaphore",))
+    return ctx.with_timeout(["wait", args[0]], args[1])
+
+
+def _sig_sem(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[sig_sem, semaphore]")
+    ctx.object(args[0], where, ("semaphore",))
+    return ["signal", args[0]]
+
+
+def _snd_mbx(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[snd_mbx, mailbox, value]")
+    ctx.object(args[0], where, ("mailbox",))
+    return ["write", args[0], args[1]]
+
+
+def _tsnd_mbx(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 3, 3, "[tsnd_mbx, mailbox, value, tmo]")
+    ctx.object(args[0], where, ("mailbox",))
+    return ctx.with_timeout(["write", args[0], args[1]], args[2])
+
+
+def _rcv_mbx(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 1, 1, "[rcv_mbx, mailbox]")
+    ctx.object(args[0], where, ("mailbox",))
+    return ["read", args[0]]
+
+
+def _trcv_mbx(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[trcv_mbx, mailbox, tmo]")
+    ctx.object(args[0], where, ("mailbox",))
+    return ctx.with_timeout(["read", args[0]], args[1])
+
+
+def _set_flg(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[set_flg, eventflag, bits]")
+    ctx.object(args[0], where, ("eventflag",))
+    return ["set_flag", args[0], args[1]]
+
+
+def _clr_flg(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 2, 2, "[clr_flg, eventflag, mask]")
+    ctx.object(args[0], where, ("eventflag",))
+    return ["clr_flag", args[0], args[1]]
+
+
+def _wai_flg(ctx: LowerContext, args: List, where: str) -> List:
+    ctx.arity(args, where, 3, 4,
+              "[wai_flg, eventflag, bits, TWF_ANDW|TWF_ORW, tmo?]")
+    ctx.object(args[0], where, ("eventflag",))
+    mode = _WAIT_MODES.get(args[2])
+    if mode is None:
+        raise BuildError(
+            f"{where}: wait mode must be TWF_ANDW or TWF_ORW, "
+            f"got {args[2]!r}"
+        )
+    return ctx.with_timeout(["wait_flag", args[0], args[1], mode],
+                            args[3] if len(args) > 3 else None)
 
 
 class UITRONPersonality(Personality):
     """Lower a µITRON-flavored spec onto the generic model."""
 
     name = "uitron"
+    label = "uITRON"
     description = (
         "uITRON tasks, counted wakeups, semaphores, AND/OR eventflags "
         "and mailboxes under fixed-priority preemptive dispatch"
     )
-    api_ops = (
-        "dly_tsk", "slp_tsk", "tslp_tsk", "wup_tsk", "iwup_tsk",
-        "wai_sem", "twai_sem", "sig_sem", "isig_sem",
-        "snd_mbx", "tsnd_mbx", "rcv_mbx", "trcv_mbx",
-        "set_flg", "iset_flg", "clr_flg", "wai_flg", "twai_flg",
-        "execute", "loop",
+    config_keys = (
+        "engine", "processor", "scheduling_duration",
+        "context_load_duration", "context_save_duration",
     )
-    object_kinds = tuple(_OBJECT_KEYS)
+    object_keys = {
+        "semaphore": ("kind", "name", "max_count", "initial"),
+        "eventflag": ("kind", "name", "initial", "clear_on_wake"),
+        "mailbox": ("kind", "name", "capacity"),
+    }
+    # ``priority`` is not copied: :meth:`_priority` negates it.
+    task_passthrough = ("start_time", "wcet", "period", "deadline",
+                        "jitter", "max_blocking", "affinity",
+                        "lint_suppress")
+    ops = {
+        "dly_tsk": _dly_tsk,
+        "slp_tsk": _slp_tsk,
+        "tslp_tsk": _tslp_tsk,
+        "wup_tsk": _wup_tsk,
+        "iwup_tsk": _wup_tsk,
+        "wai_sem": _wai_sem,
+        "twai_sem": _twai_sem,
+        "sig_sem": _sig_sem,
+        "isig_sem": _sig_sem,
+        "snd_mbx": _snd_mbx,
+        "tsnd_mbx": _tsnd_mbx,
+        "rcv_mbx": _rcv_mbx,
+        "trcv_mbx": _trcv_mbx,
+        "set_flg": _set_flg,
+        "iset_flg": _set_flg,
+        "clr_flg": _clr_flg,
+        "wai_flg": _wai_flg,
+        "twai_flg": _wai_flg,
+        "execute": LowerContext.execute,
+        "loop": LowerContext.loop,
+    }
+    # TA_WUPCNT: pending wakeups accumulate in a per-task counter event.
+    implicit_suffix = "wup"
+    implicit_noun = "wakeup"
+    # ITRON only allows the non-blocking i-prefixed calls in handlers.
+    blocking_ops = frozenset(
+        ("dly_tsk", "slp_tsk", "tslp_tsk", "wai_sem", "twai_sem",
+         "snd_mbx", "tsnd_mbx", "rcv_mbx", "trcv_mbx", "wai_flg",
+         "twai_flg")
+    )
+    pollable_ops = frozenset(
+        ("tslp_tsk", "twai_sem", "tsnd_mbx", "trcv_mbx", "twai_flg")
+    )
 
     # ------------------------------------------------------------------
-    def lower(self, spec: Dict) -> Lowering:
-        check_keys("uitron spec", spec, _TOP_KEYS)
-        config = dict(spec.get("config") or {})
-        check_keys("uitron config", config, _CONFIG_KEYS)
+    def _config(self, config: Dict) -> Dict:
         config.setdefault("engine", "procedural")
         config.setdefault("processor", "cpu0")
-        kinds, relations = self._objects(spec.get("objects") or [])
-        tasks = spec.get("tasks") or []
-        if not isinstance(tasks, list):
-            raise BuildError("uitron spec: tasks must be a list")
-        task_names = [
-            entry_name("uitron task", t) for t in tasks
-            if isinstance(t, dict)
-        ]
-        wakeups: Set[str] = set()
-        functions: List[Dict] = []
-        api_ops: Dict[str, List] = {}
-        for entry in tasks:
-            if not isinstance(entry, dict):
-                raise BuildError(
-                    f"uitron spec: each task is a dict, got {entry!r}"
-                )
-            fn = self._task(entry, config, kinds, set(task_names), wakeups)
-            api_ops[fn["name"]] = entry.get("script") or []
-            functions.append(fn)
-        for task in sorted(wakeups):
-            if task not in task_names:
-                raise BuildError(
-                    f"uitron spec: wakeup target {task!r} is not a task; "
-                    f"tasks: {sorted(task_names)}"
-                )
-            # TA_WUPCNT: pending wakeups accumulate in the counter.
-            relations.append({
-                "kind": "event", "name": f"{task}.wup",
-                "policy": "counter",
-            })
-        generic = {
-            "name": spec.get("name", "uitron"),
-            "relations": relations,
-            "processors": [self._processor(config)],
-            "functions": functions,
-        }
-        if "lint_suppress" in spec:
-            generic["lint_suppress"] = spec["lint_suppress"]
-        return Lowering(self.name, generic, api_ops, config)
+        return config
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _processor(config: Dict) -> Dict:
-        cpu = {
+    def _processor(self, config: Dict) -> Dict:
+        return copy_overheads(config, {
             "name": config["processor"],
             "engine": config["engine"],
             "policy": "priority_preemptive",
-        }
-        for key in ("scheduling_duration", "context_load_duration",
-                    "context_save_duration"):
-            if key in config:
-                cpu[key] = config[key]
-        return cpu
+        })
 
-    def _objects(self, objects: List) -> Tuple[Dict[str, str], List[Dict]]:
-        kinds: Dict[str, str] = {}
-        relations: List[Dict] = []
-        for entry in objects:
-            if not isinstance(entry, dict):
-                raise BuildError(
-                    f"uitron spec: each object is a dict, got {entry!r}"
-                )
-            kind = entry.get("kind")
-            if kind not in _OBJECT_KEYS:
-                raise BuildError(
-                    f"uitron object: unknown kind {kind!r}; "
-                    f"pick one of {sorted(_OBJECT_KEYS)}"
-                )
-            where = f"uitron {kind}"
-            check_keys(where, entry, _OBJECT_KEYS[kind])
-            name = entry_name(where, entry)
-            if name in kinds:
-                raise BuildError(
-                    f"uitron spec: duplicate object name {name!r}"
-                )
-            kinds[name] = kind
-            relations.append(self._object_relation(kind, name, entry))
-        return kinds, relations
-
-    @staticmethod
-    def _object_relation(kind: str, name: str, entry: Dict) -> Dict:
+    def _object_relation(self, kind: str, name: str, entry: Dict) -> Dict:
         if kind == "semaphore":
             max_count = entry.get("max_count", 1)
             if not isinstance(max_count, int) or max_count < 1:
@@ -205,209 +233,13 @@ class UITRONPersonality(Personality):
         return {"kind": "queue", "name": name,
                 "capacity": entry.get("capacity")}
 
-    # ------------------------------------------------------------------
-    def _task(self, entry: Dict, config: Dict, kinds: Dict[str, str],
-              task_names: Set[str], wakeups: Set[str]) -> Dict:
-        name = entry_name("uitron task", entry)
-        where = f"uitron task {name!r}"
-        check_keys(where, entry, _TASK_KEYS)
-        isr = bool(entry.get("isr", False))
-        script = entry.get("script")
-        if not isinstance(script, list):
-            raise BuildError(f"{where}: needs a script (list of ops)")
+    def _priority(self, entry: Dict, where: str) -> Dict:
         priority = entry.get("priority", 1)
         if not isinstance(priority, int) or priority < 1:
             raise BuildError(
                 f"{where}: ITRON priorities start at 1 (most urgent), "
                 f"got {priority!r}"
             )
-        ctx = _LowerContext(name, kinds, task_names, wakeups)
-        fn: Dict = {
-            "name": name,
-            "script": ctx.lower_ops(script, where),
-            # Negation maps "1 is most urgent" onto "larger is more
-            # urgent" while keeping distinct levels distinct.
-            "priority": -priority,
-        }
-        if not isr:
-            fn["processor"] = config["processor"]
-        for key in _TASK_PASSTHROUGH:
-            if key in entry:
-                fn[key] = entry[key]
-        return fn
-
-
-class _LowerContext:
-    """Per-task lowering state (object kinds, wakeup-event discovery)."""
-
-    def __init__(self, task: str, kinds: Dict[str, str],
-                 task_names: Set[str], wakeups: Set[str]) -> None:
-        self.task = task
-        self.kinds = kinds
-        self.task_names = task_names
-        self.wakeups = wakeups
-
-    def lower_ops(self, ops: List, where: str) -> List:
-        lowered = []
-        for index, op in enumerate(ops):
-            if not isinstance(op, (list, tuple)) or not op or \
-                    not isinstance(op[0], str):
-                raise BuildError(
-                    f"{where}: op #{index} must be [name, args...], "
-                    f"got {op!r}"
-                )
-            lowered.append(self.lower_op(list(op), f"{where} op #{index}"))
-        return lowered
-
-    def lower_op(self, op: List, where: str) -> List:
-        name, args = op[0], op[1:]
-        method = _OP_HANDLERS.get(name)
-        if method is None:
-            raise BuildError(
-                f"{where}: unknown uITRON op {name!r}; accepted ops: "
-                f"{sorted(_OP_HANDLERS)}"
-            )
-        return method(self, args, where)
-
-    # -- helpers -------------------------------------------------------
-    def _arity(self, args: List, where: str, low: int, high: int,
-               usage: str) -> None:
-        if not low <= len(args) <= high:
-            raise BuildError(f"{where}: usage {usage}")
-
-    def _object(self, ref: Any, where: str,
-                accepted: Tuple[str, ...]) -> str:
-        kind = self.kinds.get(ref)
-        if kind is None:
-            raise BuildError(
-                f"{where}: unknown object {ref!r}; objects: "
-                f"{sorted(self.kinds)}"
-            )
-        if kind not in accepted:
-            raise BuildError(
-                f"{where}: {ref!r} is a {kind}, expected one of "
-                f"{sorted(accepted)}"
-            )
-        return kind
-
-    @staticmethod
-    def _with_timeout(base: List, timeout: Any) -> List:
-        timeout = parse_timeout_spec(timeout)
-        if timeout is None:
-            return base
-        return base + [timeout]
-
-    # -- op lowerings --------------------------------------------------
-    def _dly_tsk(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[dly_tsk, duration]")
-        return ["delay", args[0]]
-
-    def _slp_tsk(self, args: List, where: str) -> List:
-        self._arity(args, where, 0, 0, "[slp_tsk]")
-        self.wakeups.add(self.task)
-        return ["wait", f"{self.task}.wup"]
-
-    def _tslp_tsk(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[tslp_tsk, tmo]")
-        self.wakeups.add(self.task)
-        return self._with_timeout(["wait", f"{self.task}.wup"], args[0])
-
-    def _wup_tsk(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[wup_tsk, task]")
-        self.wakeups.add(args[0])
-        return ["signal", f"{args[0]}.wup"]
-
-    def _wai_sem(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[wai_sem, semaphore]")
-        self._object(args[0], where, ("semaphore",))
-        return ["wait", args[0]]
-
-    def _twai_sem(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[twai_sem, semaphore, tmo]")
-        self._object(args[0], where, ("semaphore",))
-        return self._with_timeout(["wait", args[0]], args[1])
-
-    def _sig_sem(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[sig_sem, semaphore]")
-        self._object(args[0], where, ("semaphore",))
-        return ["signal", args[0]]
-
-    def _snd_mbx(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[snd_mbx, mailbox, value]")
-        self._object(args[0], where, ("mailbox",))
-        return ["write", args[0], args[1]]
-
-    def _tsnd_mbx(self, args: List, where: str) -> List:
-        self._arity(args, where, 3, 3, "[tsnd_mbx, mailbox, value, tmo]")
-        self._object(args[0], where, ("mailbox",))
-        return self._with_timeout(["write", args[0], args[1]], args[2])
-
-    def _rcv_mbx(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[rcv_mbx, mailbox]")
-        self._object(args[0], where, ("mailbox",))
-        return ["read", args[0]]
-
-    def _trcv_mbx(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[trcv_mbx, mailbox, tmo]")
-        self._object(args[0], where, ("mailbox",))
-        return self._with_timeout(["read", args[0]], args[1])
-
-    def _set_flg(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[set_flg, eventflag, bits]")
-        self._object(args[0], where, ("eventflag",))
-        return ["set_flag", args[0], args[1]]
-
-    def _clr_flg(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[clr_flg, eventflag, mask]")
-        self._object(args[0], where, ("eventflag",))
-        return ["clr_flag", args[0], args[1]]
-
-    def _wai_flg(self, args: List, where: str) -> List:
-        self._arity(args, where, 3, 4,
-                    "[wai_flg, eventflag, bits, TWF_ANDW|TWF_ORW, tmo?]")
-        self._object(args[0], where, ("eventflag",))
-        mode = _WAIT_MODES.get(args[2])
-        if mode is None:
-            raise BuildError(
-                f"{where}: wait mode must be TWF_ANDW or TWF_ORW, "
-                f"got {args[2]!r}"
-            )
-        base = ["wait_flag", args[0], args[1], mode]
-        timeout = parse_timeout_spec(args[3]) if len(args) > 3 else None
-        if timeout is None:
-            return base
-        return base + [timeout]
-
-    def _execute(self, args: List, where: str) -> List:
-        self._arity(args, where, 1, 1, "[execute, duration]")
-        return ["execute", args[0]]
-
-    def _loop(self, args: List, where: str) -> List:
-        self._arity(args, where, 2, 2, "[loop, n_or_null, body]")
-        if not isinstance(args[1], list):
-            raise BuildError(f"{where}: loop body must be a list of ops")
-        return ["loop", args[0], self.lower_ops(args[1], where)]
-
-
-_OP_HANDLERS = {
-    "dly_tsk": _LowerContext._dly_tsk,
-    "slp_tsk": _LowerContext._slp_tsk,
-    "tslp_tsk": _LowerContext._tslp_tsk,
-    "wup_tsk": _LowerContext._wup_tsk,
-    "iwup_tsk": _LowerContext._wup_tsk,
-    "wai_sem": _LowerContext._wai_sem,
-    "twai_sem": _LowerContext._twai_sem,
-    "sig_sem": _LowerContext._sig_sem,
-    "isig_sem": _LowerContext._sig_sem,
-    "snd_mbx": _LowerContext._snd_mbx,
-    "tsnd_mbx": _LowerContext._tsnd_mbx,
-    "rcv_mbx": _LowerContext._rcv_mbx,
-    "trcv_mbx": _LowerContext._trcv_mbx,
-    "set_flg": _LowerContext._set_flg,
-    "iset_flg": _LowerContext._set_flg,
-    "clr_flg": _LowerContext._clr_flg,
-    "wai_flg": _LowerContext._wai_flg,
-    "twai_flg": _LowerContext._wai_flg,
-    "execute": _LowerContext._execute,
-    "loop": _LowerContext._loop,
-}
+        # Negation maps "1 is most urgent" onto "larger is more urgent"
+        # while keeping distinct levels distinct.
+        return {"priority": -priority}

@@ -20,25 +20,18 @@ from typing import Callable, List, Optional
 from ..errors import RTOSError
 from ..kernel.simulator import Simulator
 from ..kernel.time import Time
-from ..trace.records import MarkerRecord, StateRecord, TaskState
-
-
-# Enum members as module globals: on 3.11 reading one off its class
-# goes through EnumType.__getattr__, several times slower.
-_WAITING = TaskState.WAITING
-_WAITING_RESOURCE = TaskState.WAITING_RESOURCE
-_TERMINATED = TaskState.TERMINATED
-_READY = TaskState.READY
-
-#: Activation reasons that start a deadline window.
-_ACTIVATION_REASONS = ("woken", "timer", "created")
-
-#: States that complete the current activation.
-_COMPLETION_STATES = (
-    _WAITING,
-    _WAITING_RESOURCE,
-    _TERMINATED,
+from ..trace.records import (
+    ACTIVATION_REASONS,
+    COMPLETION_STATES,
+    MarkerRecord,
+    StateRecord,
+    TaskState,
 )
+
+
+# Enum member as a module global: on 3.11 reading one off its class
+# goes through EnumType.__getattr__, several times slower.
+_READY = TaskState.READY
 
 
 class DeadlineWatchdog:
@@ -93,14 +86,14 @@ class DeadlineWatchdog:
         if record.task != self.task_name:
             return
         if (record.state is _READY
-                and record.reason in _ACTIVATION_REASONS):
+                and record.reason in ACTIVATION_REASONS):
             if self._armed_handle is None:
                 self.activation_count += 1
                 self._activation_time = record.time
                 self._armed_handle = self.sim.schedule_callback(
                     self.deadline, self._expired
                 )
-        elif record.state in _COMPLETION_STATES:
+        elif record.state in COMPLETION_STATES:
             self._disarm()
 
     def _disarm(self) -> None:

@@ -49,6 +49,19 @@ class TaskState(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: The one definition of a job window, shared by the post-hoc
+#: :func:`~repro.analysis.measurements.response_times` and the online
+#: :class:`~repro.rtos.watchdog.DeadlineWatchdog`: a job opens when the
+#: task enters ``READY`` for one of these reasons...
+ACTIVATION_REASONS = ("woken", "timer", "created")
+#: ...and closes when it enters one of these states.
+COMPLETION_STATES = (
+    TaskState.WAITING,
+    TaskState.WAITING_RESOURCE,
+    TaskState.TERMINATED,
+)
+
+
 class AccessKind(enum.Enum):
     """Kinds of relation access drawn as arrows on the TimeLine."""
 

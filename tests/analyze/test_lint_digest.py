@@ -25,6 +25,7 @@ from repro.analyze import analyze_system, effects, schedulability
 from repro.corpus import GENERATORS, generate
 from repro.kernel.simulator import Simulator
 from repro.mcse.builder import build_system
+from repro.rtos.overheads import Overheads
 
 #: sha256 over the sample below, taken from the linter before the
 #: per-lint context existed; any change to a diagnostic changes it.
@@ -104,8 +105,7 @@ def test_each_fact_is_computed_once_per_lint():
     codes = {
         effects.task_effects.__code__: "task_effects",
         schedulability.periodic_profile.__code__: "periodic_profile",
-        schedulability.resolve_overhead_costs.__code__:
-            "resolve_overhead_costs",
+        schedulability.probe_overheads.__code__: "probe_overheads",
     }
     counts = _count_calls(codes, lambda: analyze_system(system))
     mapped = [task for cpu in system.processors.values()
@@ -113,7 +113,34 @@ def test_each_fact_is_computed_once_per_lint():
     assert len(system.functions) == 4 and len(system.processors) == 2
     assert counts["task_effects"] == len(system.functions)
     assert counts["periodic_profile"] == len(mapped)
-    assert counts["resolve_overhead_costs"] == len(system.processors)
+    assert counts["probe_overheads"] == len(system.processors)
+
+
+def test_each_overhead_formula_is_called_once_per_processor():
+    spec = generate("contention", 1, {"protocol": "inheritance",
+                                      "periodic": True, "tasks": 4,
+                                      "deadline_frac": 0.5,
+                                      "processors": 2})
+    system = build_system(spec, sim=Simulator("formulas"))
+    calls = Counter()
+
+    def formula(component, cost):
+        def evaluate(processor):
+            calls[processor.name, component] += 1
+            return cost
+        return evaluate
+
+    for processor in system.processors.values():
+        processor.overheads = Overheads(
+            scheduling=formula("scheduling", 1000),
+            context_load=formula("context_load", 2000),
+            context_save=formula("context_save", 3000))
+    report = analyze_system(system)
+    assert report.by_rule("RTS105") or report.by_rule("RTS180")
+    assert calls == {(cpu, component): 1
+                     for cpu in system.processors
+                     for component in ("scheduling", "context_load",
+                                       "context_save")}
 
 
 if __name__ == "__main__":

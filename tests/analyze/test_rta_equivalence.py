@@ -117,6 +117,21 @@ def test_a_response_exactly_at_the_divergence_limit_still_converges():
     assert _task_response(10, [(2000, 990)], 1000, 10_000) == 1000
 
 
+def test_interference_ceiling_is_exact_past_two_to_the_53_fs():
+    # A response of 1000 periods + 1 fs overlaps a 1001st job; the float
+    # quotient of 10**17 + 1 by 10**14 rounds to exactly 1000.0.
+    period = 10 ** 14
+    assert math.ceil((1000 * period + 1) / period) == 1000
+    # lo: 1000T - 999 + 1000 jobs of 1 fs = 1000T + 1, then one more job
+    tasks = [PeriodicTask("hi", wcet=1, period=period, priority=2),
+             PeriodicTask("lo", wcet=1000 * period - 999, period=10 ** 18,
+                          priority=1)]
+    assert reference_rta(tasks)["lo"] == 1000 * period + 1  # job missed
+    assert response_time_analysis(tasks)["lo"] == 1000 * period + 2
+    assert _task_response(1000 * period - 999, [(period, 1)],
+                          10 ** 21, 10_000) == 1000 * period + 2
+
+
 # ---------------------------------------------------------------------------
 # OPA: single-candidate probes vs the all-tasks probe they replaced
 # ---------------------------------------------------------------------------

@@ -193,6 +193,19 @@ class TestOpLowering:
         assert self.ops([["xQueueSendFromISR", "q", 1]]) == \
             [["write", "q", 1, 0]]
 
+    def test_from_isr_give_signals_semaphores_only(self):
+        objects = [
+            {"kind": "binary_semaphore", "name": "bs"},
+            {"kind": "counting_semaphore", "name": "cs", "max_count": 3},
+            {"kind": "mutex", "name": "m"},
+        ]
+        assert self.ops([["xSemaphoreGiveFromISR", "bs"],
+                         ["xSemaphoreGiveFromISR", "cs"]], objects) == \
+            [["signal", "bs"], ["signal", "cs"]]
+        # an ISR cannot own a mutex, so there is no unlock variant
+        with pytest.raises(BuildError, match="'m' is a mutex"):
+            self.ops([["xSemaphoreGiveFromISR", "m"]], objects)
+
     def test_notifications_use_implicit_counter_events(self):
         spec = base_spec(
             objects=[],

@@ -129,6 +129,26 @@ class TestOpLowering:
         assert self.ops([["trcv_mbx", "mbx", "2ms"]], objects) == \
             [["read", "mbx", "2ms"]]
 
+    def test_timed_mailbox_send(self):
+        objects = [{"kind": "mailbox", "name": "mbx", "capacity": 1}]
+        assert self.ops([["tsnd_mbx", "mbx", 9, "3ms"],
+                         ["tsnd_mbx", "mbx", 8, "TMO_POL"],
+                         ["tsnd_mbx", "mbx", 7, "TMO_FEVR"]], objects) == \
+            [["write", "mbx", 9, "3ms"], ["write", "mbx", 8, 0],
+             ["write", "mbx", 7]]
+        with pytest.raises(BuildError, match="tsnd_mbx, mailbox, value, tmo"):
+            self.ops([["tsnd_mbx", "mbx", 9]], objects)
+
+    def test_timed_semaphore_wait(self):
+        objects = [{"kind": "semaphore", "name": "sem"}]
+        assert self.ops([["twai_sem", "sem", "1ms"],
+                         ["twai_sem", "sem", "TMO_POL"],
+                         ["twai_sem", "sem", "TMO_FEVR"]], objects) == \
+            [["wait", "sem", "1ms"], ["wait", "sem", 0], ["wait", "sem"]]
+        with pytest.raises(BuildError, match="is a mailbox"):
+            self.ops([["twai_sem", "mbx", "1ms"]],
+                     [{"kind": "mailbox", "name": "mbx"}])
+
     def test_flag_ops_and_wait_modes(self):
         objects = [{"kind": "eventflag", "name": "flg"}]
         assert self.ops([["set_flg", "flg", 0b11]], objects) == \

@@ -249,6 +249,59 @@ class TestRateMonotonic:
         assert order == ["periodic", "aperiodic"]
 
 
+class TestLeastLaxity:
+    @staticmethod
+    def run(policy, tasks):
+        """Map ``(tag, delay, work, deadline)`` tasks; completion times."""
+        system = System("t")
+        cpu = system.processor("cpu", policy=policy)
+        done = {}
+
+        def make(tag, delay, work):
+            def body(fn):
+                if delay:
+                    yield from fn.delay(delay)
+                yield from fn.execute(work)
+                done[tag] = system.now
+
+            return body
+
+        for tag, delay, work, deadline in tasks:
+            task = cpu.map(system.function(tag, make(tag, delay, work)))
+            task.absolute_deadline = deadline
+        system.run()
+        return done
+
+    def test_least_laxity_selected_over_earliest_deadline(self):
+        # B wakes at 5us less urgent by laxity than the running A; C
+        # preempts A at 10us; at 15us A has 50us left to its 100us
+        # deadline (laxity 35us) while B has not started (laxity 75us):
+        # LLF resumes A although B's deadline is earlier.
+        tasks = [("c", 10 * US, 5 * US, 20 * US),
+                 ("a", 0, 60 * US, 100 * US),
+                 ("b", 5 * US, 10 * US, 90 * US)]
+        assert self.run("llf", tasks) == {
+            "c": 15 * US, "a": 65 * US, "b": 75 * US}
+        # EDF lets B preempt A at 5us and runs it before A after C
+        assert self.run("edf", tasks) == {
+            "c": 15 * US, "b": 20 * US, "a": 75 * US}
+
+    @pytest.mark.parametrize("work,preempted", ((30 * US, True),
+                                                (60 * US, False)))
+    def test_preemption_follows_laxity_not_deadline(self, work, preempted):
+        # x wakes at 10us with laxity 60 - 10 = 50us; the running r
+        # (deadline 100us) keeps the CPU only while its own laxity is
+        # the smaller one, i.e. while its remaining work is the larger.
+        tasks = [("r", 0, work, 100 * US), ("x", 10 * US, 5 * US, 60 * US)]
+        done = self.run("llf", tasks)
+        if preempted:
+            assert done == {"x": 15 * US, "r": work + 5 * US}
+        else:
+            assert done == {"r": work, "x": work + 5 * US}
+        # EDF preempts on the earlier deadline either way
+        assert self.run("edf", tasks)["x"] == 15 * US
+
+
 class TestLottery:
     def test_deterministic_given_seed(self):
         def run_once():
