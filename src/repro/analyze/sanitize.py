@@ -1,8 +1,8 @@
-"""Runtime nondeterminism sanitizer (opt-in kernel hook).
+"""Runtime nondeterminism sanitizer (opt-in kernel slot).
 
-``Simulator(sanitize=True)`` attaches a :class:`Sanitizer` that the
-kernel consults at the two spots where a model can silently depend on
-scheduling order:
+``Simulator(sanitize=True)`` puts a :class:`Sanitizer` in the kernel's
+``sanitizer`` slot.  It finds the spots where a model can silently
+depend on scheduling order:
 
 * **SAN301 -- same-delta conflicting writes**: two processes write
   different values to one :class:`~repro.kernel.channels.Signal` in the
@@ -23,10 +23,13 @@ scheduling order:
   contents depend on the schedule, exactly what the verifier's
   exploration will then exhibit.
 
-The hooks cost nothing when the sanitizer is off: the kernel checks a
-single attribute that is ``None`` by default, and the multi-waiter check
-sits on an already-rare branch.  Golden-trace tests assert byte-identical
-traces with ``sanitize=False``.
+Four sites read the slot: the evaluate loop (around each process
+step), ``Signal.write``, the multi-waiter branch of ``Event._trigger``
+and ``Function.start``; the happens-before edges come from an ordinary
+record observer.  The hooks cost nothing when the sanitizer is off:
+each site checks one slot that is ``None`` by default, and the
+multi-waiter check sits on an already-rare branch.  Golden-trace tests
+assert byte-identical traces with ``sanitize=False``.
 
 Findings flow through the same :class:`~repro.analyze.diagnostics.
 Diagnostic` pipeline as the static linters::
@@ -86,7 +89,8 @@ class Sanitizer:
     def __init__(self, sim: Any) -> None:
         self.sim = sim
         self.report = Report()
-        #: Last uncommitted write per signal name: (writer, value).
+        #: Last write per signal name: (writer, value); read only while
+        #: the signal's update is pending, so it needs no clearing.
         self._writes: Dict[str, Tuple[str, object]] = {}
         self._wake_reported: Set[str] = set()
         # --- SAN303 happens-before machinery ---------------------------
@@ -140,10 +144,6 @@ class Sanitizer:
                          "the signal with a queue/shared variable",
                 )
         self._writes[signal.name] = (writer, value)
-
-    def observe_signal_update(self, signal: Any) -> None:
-        """Called at the update phase: the staged write was committed."""
-        self._writes.pop(signal.name, None)
 
     def observe_multi_wake(self, event: Any, count: int) -> None:
         """Called when one event trigger resumes ``count`` >= 2 waiters."""

@@ -27,11 +27,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..analyze import analyze_system
 from ..campaign.spec import canonical_json
-from ..errors import ModelError, ReproError, SimulationError
+from ..errors import ReproError
 from ..kernel.simulator import Simulator
 from ..kernel.time import parse_time
 from ..mcse.builder import build_system
 from ..verify import verify_spec
+from ..verify.harness import drive
 from ..verify.properties import RunMonitors
 
 #: Static schedulability rules cross-checked against observed misses.
@@ -124,21 +125,7 @@ def simulate_system(system: Any, spec: Dict,
 
     monitors = RunMonitors(system,
                            inversion_bound=declared_blocking_bound(spec))
-    error: Optional[BaseException] = None
-    try:
-        if options.horizon is not None:
-            system.run(until=options.horizon)
-        else:
-            system.run()
-    except SimulationError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, ModelError):
-            error = cause  # mutex misuse: an observation, not a crash
-        else:
-            raise
-    except ModelError as exc:
-        error = exc
-    monitors.finish(error)
+    monitors.finish(drive(system, options.horizon))
     monitors.detach()
     return {
         "status": "ok",

@@ -57,16 +57,13 @@ class Signal:
 
     def write(self, value) -> None:
         """Schedule ``value`` to be committed at the next update phase."""
-        sanitizer = getattr(self.sim, "sanitizer", None)
+        sanitizer = self.sim.sanitizer
         if sanitizer is not None:
             sanitizer.observe_signal_write(self, value)
         self._new_value = value
         self.sim._request_update(self)
 
     def _update(self) -> None:
-        sanitizer = getattr(self.sim, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.observe_signal_update(self)
         if self._new_value != self._value:
             self._value = self._new_value
             self.change_count += 1

@@ -187,7 +187,7 @@ class Event:
         snapshot = list(waiters)
         # Sanitizer hook on the rare multi-waiter branch only: the wake
         # order below is deterministic but implementation-defined.
-        sanitizer = getattr(self.sim, "sanitizer", None)
+        sanitizer = self.sim.sanitizer
         if sanitizer is not None:
             sanitizer.observe_multi_wake(self, len(snapshot))
         for waiter in snapshot:

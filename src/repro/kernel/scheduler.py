@@ -83,6 +83,7 @@ class KernelCore:
         "_max_delta_cycles",
         "_free_notifications",
         "_free_timeouts",
+        "sanitizer",
     )
 
     def __init__(self, max_delta_cycles: int = 1_000_000) -> None:
@@ -111,6 +112,10 @@ class KernelCore:
         # Free-lists recycling the two high-churn timed-heap entry kinds.
         self._free_notifications: List[_TimedNotification] = []
         self._free_timeouts: List[_Timeout] = []
+        #: Opt-in nondeterminism sanitizer
+        #: (:class:`repro.analyze.sanitize.Sanitizer`); ``None`` by
+        #: default, so each kernel hook costs one attribute check.
+        self.sanitizer = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -308,7 +313,7 @@ class KernelCore:
         TERMINATED = _TERMINATED
         # The sanitizer is installed once at construction (or never), so
         # it can be hoisted; ``None`` keeps the hot loop hook-free.
-        sanitizer = getattr(self, "sanitizer", None)
+        sanitizer = self.sanitizer
         delta_events = self._delta_events
         delta_resumes = self._delta_resumes
         delta_callbacks = self._delta_callbacks

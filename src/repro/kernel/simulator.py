@@ -1,9 +1,9 @@
 """The public simulation facade.
 
 :class:`Simulator` wraps :class:`~repro.kernel.scheduler.KernelCore` with
-naming, factory helpers, and the trace hook the higher layers
-(:mod:`repro.rtos`, :mod:`repro.trace`) attach to.  A typical standalone
-use looks like::
+naming, factory helpers, and the record observers the higher layers
+(:mod:`repro.rtos`, :mod:`repro.trace`, :mod:`repro.verify`) attach
+to.  A typical standalone use looks like::
 
     from repro.kernel import Simulator
     from repro.kernel.time import US
@@ -35,15 +35,19 @@ from .time import Time, format_time
 
 
 class Simulator(KernelCore):
-    """A named simulation context with object factories."""
+    """A named simulation context with object factories.
+
+    ``sanitize=True`` installs the runtime nondeterminism sanitizer
+    (:class:`repro.analyze.sanitize.Sanitizer`) in the kernel's
+    ``sanitizer`` slot; read its findings from ``sim.sanitizer.report``
+    after the run.
+    """
 
     __slots__ = (
         "name",
         "_names",
-        "recorder",
         "_observers",
         "_emit",
-        "sanitizer",
         "choice_controller",
     )
 
@@ -57,19 +61,13 @@ class Simulator(KernelCore):
         super().__init__(max_delta_cycles=max_delta_cycles)
         self.name = name
         self._names: Dict[str, int] = {}
-        #: Optional :class:`repro.trace.recorder.TraceRecorder`, set by
-        #: :meth:`set_recorder`.
-        self.recorder = None
-        #: Online observers called with every emitted record (used by
-        #: runtime monitors such as the deadline watchdog).
+        #: Callables taking every emitted record: a trace recorder's
+        #: store and runtime monitors such as the deadline watchdog.
         self._observers: Tuple[Callable, ...] = ()
         #: The resolved emission sink: ``None`` while nothing listens,
         #: else one callable taking a record.  Emission sites check it
         #: once and build their record only when it is set.
         self._emit: Optional[Callable] = None
-        #: Opt-in nondeterminism sanitizer (``sanitize=True``); ``None``
-        #: by default so the kernel hooks cost one attribute check.
-        self.sanitizer = None
         #: Optional :class:`repro.verify.choices.ChoiceController` that
         #: resolves scheduling nondeterminism (ready-queue ties, wake
         #: order, execution-time ranges); ``None`` by default so the
@@ -140,21 +138,15 @@ class Simulator(KernelCore):
         """Format ``t`` (default: now) for humans."""
         return format_time(self.now if t is None else t)
 
-    def set_recorder(self, recorder) -> None:
-        """Attach a trace recorder (see :mod:`repro.trace.recorder`).
-
-        The recorder's ``limit`` is read here: set it before attaching.
-        """
-        self.recorder = recorder
-        self._resolve_emit()
-
     def add_observer(self, fn) -> None:
         """Register a callable invoked with every emitted trace record.
 
         Observers run synchronously at emission time (inside whatever
         process caused the record), so they can react *during* the
         simulation -- e.g. arm a watchdog timer.  They must not block.
-        An observer added or removed while a record is being emitted
+        Observers see each record in the order they were added.  A
+        :class:`~repro.trace.recorder.TraceRecorder` is one of them.  An
+        observer added or removed while a record is being emitted
         takes effect from the next record on.
         """
         self._observers += (fn,)
@@ -169,17 +161,10 @@ class Simulator(KernelCore):
             self._resolve_emit()
 
     def _resolve_emit(self) -> None:
-        recorder = self.recorder
-        store = None
-        if recorder is not None:
-            # a bounded recorder counts what it drops, so only an
-            # unbounded one can take records straight into its list
-            store = (recorder.records.append if recorder.limit is None
-                     else recorder.add)
-        if not self._observers:
-            self._emit = store
+        sinks = self._observers
+        if len(sinks) < 2:
+            self._emit = sinks[0] if sinks else None
             return
-        sinks = self._observers if store is None else (store,) + self._observers
 
         def fan_out(record) -> None:
             for sink in sinks:
@@ -188,7 +173,7 @@ class Simulator(KernelCore):
         self._emit = fan_out
 
     def record(self, record) -> None:
-        """Emit a trace record to the recorder and all observers."""
+        """Emit a trace record to every observer."""
         emit = self._emit
         if emit is not None:
             emit(record)

@@ -26,10 +26,14 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..errors import RTOSError
 from ..kernel.time import Time
+from ..trace.records import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .processor import ProcessorBase
     from .tcb import Task
+
+
+_RUNNING = TaskState.RUNNING
 
 
 class SchedulingPolicy:
@@ -236,8 +240,10 @@ class LeastLaxityPolicy(SchedulingPolicy):
     """Least-laxity-first: laxity = deadline - now - remaining work.
 
     Remaining work is the task's :attr:`Task.remaining_budget`, which the
-    RTOS execute path maintains automatically; a task without deadline
-    or budget information is treated as infinitely lax.
+    RTOS execute path writes when a slice starts or ends.  A running
+    task is inside its slice, so what is left of it is read off the
+    slice's armed timeout instead.  A task without deadline or budget
+    information is treated as infinitely lax.
     """
 
     name = "llf"
@@ -246,8 +252,13 @@ class LeastLaxityPolicy(SchedulingPolicy):
     def _laxity(processor, task) -> float:
         if task.absolute_deadline is None:
             return float("inf")
+        now = processor.sim.now
         remaining = task.remaining_budget or 0
-        return task.absolute_deadline - processor.sim.now - remaining
+        if remaining and task.state is _RUNNING:
+            timeout = task.function.process._wait_timeout
+            if timeout is not None:
+                remaining = timeout.time - now
+        return task.absolute_deadline - now - remaining
 
     def select(self, processor, ready):
         best = None

@@ -7,8 +7,12 @@ Attach a recorder to a simulator and every layer starts emitting::
     recorder.state_records("Function_1")
     recorder.save_jsonl("trace.jsonl")
 
-Recording costs one list append per record; with no recorder attached
-the emission sites are no-ops, so long benchmark runs can go untraced.
+A recorder is an ordinary record observer: an unbounded one attaches
+its list's ``append`` (one list append per record), a bounded one
+:meth:`TraceRecorder.add`, which counts drops.  It detaches like any
+observer, with ``sim.remove_observer`` and the callable it attached.
+With nothing attached the emission sites are no-ops, so long benchmark
+runs can go untraced.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ class TraceRecorder:
         self.dropped = 0
         self.sim = sim
         if sim is not None:
-            sim.set_recorder(self)
+            sim.add_observer(self.records.append if limit is None
+                             else self.add)
 
     # ------------------------------------------------------------------
     # Recording

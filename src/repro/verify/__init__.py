@@ -126,11 +126,11 @@ def verify_model(
         starvation_bound=starvation_bound,
         explore_preempt_modes=explore_preempt_modes,
     )
-    if strategy in ("dfs", "exhaustive"):
+    if strategy == "dfs":
         return explore_dfs(
             factory, opts, invariants, max_runs=max_runs
         )
-    if strategy in ("random", "randomized"):
+    if strategy == "random":
         return explore_random(
             factory, opts, invariants, runs=runs, seed=seed
         )

@@ -115,16 +115,68 @@ class VerifyResult:
         }
 
 
-def _collect_sanitizer(outcome: RunOutcome, findings: List[Diagnostic],
-                       seen: Set[Tuple[str, str]]) -> None:
-    report = outcome.sanitizer_report
-    if report is None:
-        return
-    for diagnostic in report.diagnostics:
-        key = (diagnostic.rule, diagnostic.location)
-        if key not in seen:
-            seen.add(key)
-            findings.append(diagnostic)
+class _Exploration:
+    """What one exploration accumulates, whichever strategy drives it.
+
+    Each run counts toward the stats, adds its new sanitizer findings,
+    and adds the first violation of each property not seen yet, with
+    its minimized counterexample.
+    """
+
+    def __init__(self, factory: ModelFactory, options: VerifyOptions,
+                 invariants: Sequence[Invariant],
+                 context: ExploreContext) -> None:
+        self.factory = factory
+        self.options = options
+        self.invariants = invariants
+        self.context = context
+        self.stats = VerifyStats()
+        self.started = _time.perf_counter()
+        self.violations: List[Violation] = []
+        self.counterexamples: List[Counterexample] = []
+        self.sanitizer_findings: List[Diagnostic] = []
+        self._sanitizer_seen: Set[Tuple[str, str]] = set()
+
+    def run(self, prefix: Sequence[int],
+            controller: Optional[RandomController] = None) -> RunOutcome:
+        outcome = run_once(self.factory, prefix, self.options,
+                           self.invariants, self.context,
+                           controller=controller)
+        self.stats.runs += 1
+        self.stats.choice_points += len(outcome.trail)
+        report = outcome.sanitizer_report
+        if report is not None:
+            for diagnostic in report.diagnostics:
+                key = (diagnostic.rule, diagnostic.location)
+                if key not in self._sanitizer_seen:
+                    self._sanitizer_seen.add(key)
+                    self.sanitizer_findings.append(diagnostic)
+        seen = {v.property_id for v in self.violations}
+        for violation in outcome.violations:
+            if violation.property_id not in seen:
+                seen.add(violation.property_id)
+                self.violations.append(violation)
+                self.counterexamples.append(minimize(
+                    self.factory, outcome.choices, violation,
+                    self.options, self.invariants,
+                ))
+        return outcome
+
+    def result(self, strategy: str, complete: bool) -> VerifyResult:
+        stats, context = self.stats, self.context
+        stats.states = len(context.visited)
+        stats.dedup_hits = context.dedup_hits
+        stats.depth_hits = context.depth_hits
+        stats.wall_s = _time.perf_counter() - self.started
+        return VerifyResult(
+            ok=not self.violations,
+            complete=complete and not self.violations,
+            strategy=strategy,
+            stats=stats,
+            violations=self.violations,
+            counterexamples=self.counterexamples,
+            sanitizer_findings=self.sanitizer_findings,
+        )
 
 
 def explore_dfs(
@@ -142,15 +194,10 @@ def explore_dfs(
     """
     if max_runs < 1:
         raise VerifyError(f"dfs strategy needs max_runs >= 1, got {max_runs}")
-    context = ExploreContext(cut_revisits=True)
-    stats = VerifyStats()
-    started = _time.perf_counter()
+    exploration = _Exploration(factory, options, invariants,
+                               ExploreContext(cut_revisits=True))
+    stats = exploration.stats
     stack: List[Tuple[int, ...]] = [()]
-    violations: List[Violation] = []
-    counterexamples: List[Counterexample] = []
-    sanitizer_findings: List[object] = []
-    sanitizer_seen: set = set()
-    seen_properties: set = set()
     complete = True
 
     while stack:
@@ -158,25 +205,12 @@ def explore_dfs(
             complete = False
             break
         prefix = stack.pop()
-        outcome = run_once(factory, prefix, options, invariants, context)
-        stats.runs += 1
-        stats.choice_points += len(outcome.trail)
+        outcome = exploration.run(prefix)
         if outcome.truncated:
             complete = False
-        _collect_sanitizer(outcome, sanitizer_findings, sanitizer_seen)
-
-        if outcome.violations:
-            for violation in outcome.violations:
-                if violation.property_id in seen_properties:
-                    continue
-                seen_properties.add(violation.property_id)
-                violations.append(violation)
-                counterexamples.append(minimize(
-                    factory, outcome.choices, violation, options, invariants
-                ))
-            if stop_on_first:
-                complete = False  # exploration stopped early on purpose
-                break
+        if outcome.violations and stop_on_first:
+            complete = False  # exploration stopped early on purpose
+            break
 
         taken = [point.taken for point in outcome.trail]
         # Reverse order: the earliest undecided position ends up on top
@@ -190,19 +224,7 @@ def explore_dfs(
             for alternative in reversed(alternatives[1:]):
                 stack.append(tuple(taken[:position]) + (alternative,))
 
-    stats.states = len(context.visited)
-    stats.dedup_hits = context.dedup_hits
-    stats.depth_hits = context.depth_hits
-    stats.wall_s = _time.perf_counter() - started
-    return VerifyResult(
-        ok=not violations,
-        complete=complete and not violations,
-        strategy="dfs",
-        stats=stats,
-        violations=violations,
-        counterexamples=counterexamples,
-        sanitizer_findings=sanitizer_findings,
-    )
+    return exploration.result("dfs", complete)
 
 
 def explore_random(
@@ -217,52 +239,17 @@ def explore_random(
     """Seeded random sampling of schedules -- the large-space fallback."""
     if runs < 1:
         raise VerifyError(f"random strategy needs runs >= 1, got {runs}")
-    context = ExploreContext(symmetry=False)
-    stats = VerifyStats()
-    started = _time.perf_counter()
-    violations: List[Violation] = []
-    counterexamples: List[Counterexample] = []
-    sanitizer_findings: List[object] = []
-    sanitizer_seen: set = set()
-    seen_properties: set = set()
-    seen_trails: set = set()
-
+    exploration = _Exploration(factory, options, invariants,
+                               ExploreContext(symmetry=False))
     for index in range(runs):
-        controller = RandomController(seed + index)
-        outcome = run_once(
-            factory, (), options, invariants, context, controller=controller
-        )
-        stats.runs += 1
-        stats.choice_points += len(outcome.trail)
-        _collect_sanitizer(outcome, sanitizer_findings, sanitizer_seen)
-        if outcome.choices in seen_trails:
-            continue
-        seen_trails.add(outcome.choices)
-        if outcome.violations:
-            for violation in outcome.violations:
-                if violation.property_id in seen_properties:
-                    continue
-                seen_properties.add(violation.property_id)
-                violations.append(violation)
-                counterexamples.append(minimize(
-                    factory, outcome.choices, violation, options, invariants
-                ))
-            if stop_on_first:
-                break
+        outcome = exploration.run(
+            (), controller=RandomController(seed + index))
+        # a repeated trail repeats its run, so it adds no property
+        if outcome.violations and stop_on_first:
+            break
 
-    stats.states = len(context.visited)
-    stats.dedup_hits = context.dedup_hits
-    stats.depth_hits = context.depth_hits
-    stats.wall_s = _time.perf_counter() - started
-    return VerifyResult(
-        ok=not violations,
-        complete=False,  # sampling never proves anything
-        strategy="random",
-        stats=stats,
-        violations=violations,
-        counterexamples=counterexamples,
-        sanitizer_findings=sanitizer_findings,
-    )
+    # sampling never proves anything
+    return exploration.result("random", complete=False)
 
 
 __all__ = [

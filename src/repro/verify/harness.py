@@ -151,8 +151,7 @@ def _build_instrumented(
     if record:
         from ..trace.recorder import TraceRecorder
 
-        recorder = TraceRecorder()
-        sim.set_recorder(recorder)
+        recorder = TraceRecorder(sim)
     system = factory(sim)
     if system.sim is not sim:
         raise VerifyError(
@@ -197,15 +196,16 @@ def _pre_run_choices(system: System, controller: ChoiceController,
                 cpu.set_preemptive(not cpu.preemptive)
 
 
-def _drive(system: System, options: VerifyOptions) -> Optional[BaseException]:
-    """Run to the horizon; a mutex-misuse ModelError becomes a finding.
+def drive(system: System, horizon: Optional[Time]) -> Optional[BaseException]:
+    """Run a monitored system to ``horizon`` (``None``: to quiescence).
 
-    A :class:`_Revisited` cut is returned the same way, whether it came
-    straight out of the kernel or wrapped as a process error.
+    A mutex-misuse :class:`ModelError` is returned as a finding, not
+    raised.  So is a :class:`_Revisited` cut, whether it came straight
+    out of the kernel or wrapped as a process error.
     """
     try:
-        if options.horizon is not None:
-            system.run(until=options.horizon)
+        if horizon is not None:
+            system.run(until=horizon)
         else:
             system.run()
     except SimulationError as exc:
@@ -274,7 +274,7 @@ def run_once(
         monitors.check_invariants(system.sim.now)
 
     controller.probe = probe
-    error = _drive(system, options)
+    error = drive(system, options.horizon)
     controller.probe = None
     cut = isinstance(error, _Revisited)
     monitors.finish(None if cut else error, cut=cut)
@@ -310,7 +310,7 @@ def replay(
     system, monitors, recorder = _build_instrumented(
         factory, controller, options, invariants, record=True
     )
-    error = _drive(system, options)
+    error = drive(system, options.horizon)
     monitors.finish(error)
     monitors.detach()
     outcome = RunOutcome(
@@ -328,6 +328,7 @@ __all__ = [
     "RunOutcome",
     "ExploreContext",
     "spec_factory",
+    "drive",
     "run_once",
     "replay",
 ]

@@ -98,7 +98,8 @@ class TestRecordsFollowTheTask:
         system.sim.schedule_callback(
             150 * US, lambda: system.sim.add_observer(seen.append))
         system.run()
-        assert system.sim.recorder is None
+        # the late observer is the only listener: no recorder attached
+        assert system.sim._emit == seen.append
         expected = [r for r in recorder.records if r.time > 150 * US]
         observed = [r for r in seen if r.time > 150 * US]
         assert observed == expected
@@ -115,8 +116,9 @@ class TestRecordsFollowTheTask:
         system.sim.schedule_callback(120 * US, lambda: watchdogs.append(
             DeadlineWatchdog(system.sim, "slow", 45 * US)))
         system.run()
-        assert system.sim.recorder is None
         (watchdog,) = watchdogs
+        # the late watchdog is the only listener: no recorder attached
+        assert system.sim._emit == watchdog._observe
         # slow is waiting at 120us, so the late watchdog sees exactly the
         # activations from 150us on: the first of them still misses
         assert from_start.missed_activations == [0, 150 * US]
@@ -134,8 +136,10 @@ class TestEmissionSink:
         seen = []
         sim.add_observer(seen.append)
         sim.record("x")
+        # a recorder detaches like any observer, by what it attached
+        sim.remove_observer(recorder.records.append)
+        assert sim._emit == seen.append
         sim.remove_observer(seen.append)
-        sim.set_recorder(None)
         assert sim._emit is None
         sim.record("y")
         assert recorder.records == seen == ["x"]
@@ -143,6 +147,7 @@ class TestEmissionSink:
     def test_bounded_recorder_still_counts_drops(self):
         sim = Simulator("sink")
         recorder = TraceRecorder(sim, limit=1)
+        assert sim._emit == recorder.add
         seen = []
         sim.add_observer(seen.append)
         for record in "abc":

@@ -251,10 +251,10 @@ class TestRateMonotonic:
 
 class TestLeastLaxity:
     @staticmethod
-    def run(policy, tasks):
+    def run(policy, tasks, engine="procedural"):
         """Map ``(tag, delay, work, deadline)`` tasks; completion times."""
         system = System("t")
-        cpu = system.processor("cpu", policy=policy)
+        cpu = system.processor("cpu", engine=engine, policy=policy)
         done = {}
 
         def make(tag, delay, work):
@@ -287,19 +287,23 @@ class TestLeastLaxity:
             "c": 15 * US, "b": 20 * US, "a": 75 * US}
 
     @pytest.mark.parametrize("work,preempted", ((30 * US, True),
+                                                (45 * US, True),
                                                 (60 * US, False)))
     def test_preemption_follows_laxity_not_deadline(self, work, preempted):
         # x wakes at 10us with laxity 60 - 10 = 50us; the running r
         # (deadline 100us) keeps the CPU only while its own laxity is
         # the smaller one, i.e. while its remaining work is the larger.
+        # At 45us of work r has 35us left at 10us (laxity 55us): its
+        # laxity counts the 10us it already ran in its current slice.
         tasks = [("r", 0, work, 100 * US), ("x", 10 * US, 5 * US, 60 * US)]
-        done = self.run("llf", tasks)
-        if preempted:
-            assert done == {"x": 15 * US, "r": work + 5 * US}
-        else:
-            assert done == {"r": work, "x": work + 5 * US}
-        # EDF preempts on the earlier deadline either way
-        assert self.run("edf", tasks)["x"] == 15 * US
+        for engine in ("procedural", "threaded"):
+            done = self.run("llf", tasks, engine)
+            if preempted:
+                assert done == {"x": 15 * US, "r": work + 5 * US}, engine
+            else:
+                assert done == {"r": work, "x": work + 5 * US}, engine
+            # EDF preempts on the earlier deadline either way
+            assert self.run("edf", tasks, engine)["x"] == 15 * US
 
 
 class TestLottery:

@@ -107,7 +107,7 @@ class TestWatchdog:
     def test_works_without_recorder(self):
         """Observers see records even with no recorder attached."""
         system, watchdog = build_periodic(8 * MS, 5 * MS)
-        assert system.sim.recorder is None
+        assert system.sim._emit == watchdog._observe
         system.run()
         assert watchdog.miss_count == 4
 

@@ -34,7 +34,6 @@ class TestDiff:
         # a different clock period shifts everything after 50us
         system, _ = build_fig6_system("procedural", clk_period=50 * US)
         b = TraceRecorder(system.sim)
-        system.sim.set_recorder(b)
         system.run()
         divergences = diff_traces(a, b)
         assert divergences
@@ -58,7 +57,6 @@ class TestDiff:
         a = record_fig6("procedural")
         system, _ = build_fig6_system("procedural", clk_period=50 * US)
         b = TraceRecorder(system.sim)
-        system.sim.set_recorder(b)
         system.run()
         assert len(diff_traces(a, b, limit=3)) == 3
 
@@ -66,7 +64,6 @@ class TestDiff:
         a = record_fig6("procedural")
         system, _ = build_fig6_system("procedural", clk_period=50 * US)
         b = TraceRecorder(system.sim)
-        system.sim.set_recorder(b)
         system.run()
         text = format_diff(diff_traces(a, b, limit=2))
         assert "divergence" in text

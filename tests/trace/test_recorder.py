@@ -37,7 +37,11 @@ class TestRecording:
     def test_attaches_to_simulator(self):
         system = System("t")
         recorder = TraceRecorder(system.sim)
-        assert system.sim.recorder is recorder
+        # an unbounded recorder is an observer storing straight into
+        # its list
+        assert system.sim._emit == recorder.records.append
+        system.sim.record("x")
+        assert recorder.records == ["x"]
 
     def test_records_states_and_accesses(self):
         _, recorder = run_small_system()

@@ -19,6 +19,7 @@ from repro.kernel.time import MS
 from repro.verify import (
     RTSV001,
     RTSV002,
+    VerifyOptions,
     build_report,
     replay_spec,
     spec_factory,
@@ -95,6 +96,41 @@ class TestSeededDeadlineMiss:
             fig6_deadline_miss_spec(), ce.choices, horizon=1 * MS
         )
         assert RTSV002 in {v.property_id for v in outcome.violations}
+
+
+def preempt_mode_spec():
+    """H preempts L and meets its deadline; it misses if L runs to end."""
+    return {
+        "name": "preempt_mode",
+        "processors": [{"name": "cpu", "preemptive": True}],
+        "functions": [
+            {"name": "L", "processor": "cpu", "priority": 1,
+             "script": [["execute", "10us"]]},
+            {"name": "H", "processor": "cpu", "priority": 5,
+             "start_time": "2us", "deadline": "3us",
+             "script": [["execute", "1us"]]},
+        ],
+    }
+
+
+class TestPreemptModes:
+    def test_declared_mode_verifies(self):
+        result = verify_spec(preempt_mode_spec(), horizon=1 * MS)
+        assert result.verdict() == "verified"
+        assert result.stats.choice_points == 0
+
+    def test_exploring_the_mode_finds_the_miss_and_replays(self):
+        options = VerifyOptions(horizon=1 * MS, explore_preempt_modes=True)
+        result = verify_spec(preempt_mode_spec(), options=options)
+        assert result.verdict() == "violated"
+        ce = result.counterexample
+        assert ce.property_id == RTSV002
+        assert ce.choices == (1,)
+        assert "preempt_mode(cpu)" in ce.trail[0]
+        _, recorder, outcome = replay_spec(
+            preempt_mode_spec(), ce.choices, options=options)
+        assert RTSV002 in {v.property_id for v in outcome.violations}
+        assert len(recorder) > 0
 
 
 class TestReplayDeterminism:
