@@ -48,6 +48,7 @@ from typing import (
     Union,
 )
 
+from ..mcse.builder import RELATION_OPS
 from .code import _pragmas
 
 #: Leaf effect kinds (see the module docstring).
@@ -212,12 +213,8 @@ def _script_nodes(ops: Sequence[Any]) -> Iterator[Node]:
             # cadence-relative delay: anywhere from 0 (already late) to
             # one full period of wall-clock suspension
             yield Effect("delay", cost=(0, int(args[0])))
-        elif name == "set_preemptive":
-            continue  # scheduling-mode toggle: no flow-visible effect
-        elif name == "clr_flag":
-            yield Effect("signal", target=args[0])
-        else:
-            yield Effect(_METHOD_KINDS[name], target=args[0])
+        elif name != "set_preemptive":  # a mode toggle: no flow effect
+            yield Effect(_METHOD_KINDS[RELATION_OPS[name][0]], target=args[0])
 
 
 # ---------------------------------------------------------------------------

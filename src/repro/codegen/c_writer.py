@@ -21,9 +21,8 @@ import re
 from typing import Dict, List, Optional
 
 from ..errors import BuildError
-from ..kernel.time import US, parse_time
-from ..mcse.builder import _validate_block
-from ..mcse.model import System
+from ..kernel.time import US, format_time
+from ..mcse.builder import RELATION_OPS, build_system
 from .api import RTOS_API_H, RTOS_PORT_POSIX_C
 
 _IDENT_RE = re.compile(r"[^0-9a-zA-Z_]")
@@ -37,28 +36,34 @@ def c_identifier(name: str) -> str:
     return ident
 
 
-def _duration_us(value) -> int:
-    """Spec duration -> whole microseconds for the generated API."""
-    femto = parse_time(value)
-    return max(0, round(femto / US))
+#: The C statements of each relation op the generated API expresses:
+#: ``{r}`` is the relation's identifier, ``{v}`` the op's value.
+_C_CALLS = {
+    "wait": ("rtos_event_wait({r});",),
+    "signal": ("rtos_event_signal({r});",),
+    "read": ("(void)rtos_queue_recv({r});",),
+    "write": ("rtos_queue_send({r}, {v});",),
+    "lock": ("rtos_mutex_lock({r}_mutex);",),
+    "unlock": ("rtos_mutex_unlock({r}_mutex);",),
+    "read_shared": ("rtos_mutex_lock({r}_mutex);", "(void){r}_value;",
+                    "rtos_mutex_unlock({r}_mutex);"),
+    "write_shared": ("rtos_mutex_lock({r}_mutex);", "{r}_value = {v};",
+                     "rtos_mutex_unlock({r}_mutex);"),
+}
 
 
 class CWriter:
     """Generates the C application for one specification."""
 
     def __init__(self, spec: Dict) -> None:
-        if not isinstance(spec, dict):
-            raise BuildError("spec must be a dict")
+        # the simulator's builder validates the spec, so generated code
+        # and simulation share one notion of a well-formed script
+        self.system = build_system(spec)
         self.spec = spec
         self.name = spec.get("name", "system")
-        # collect relation kinds for declaration and call selection
-        self.relations: Dict[str, Dict] = {}
-        for rel in spec.get("relations", ()):
-            rel = dict(rel)
-            rel_name = rel.get("name")
-            if not rel_name:
-                raise BuildError(f"relation spec missing a name: {rel!r}")
-            self.relations[rel_name] = rel
+        self.relations: Dict[str, Dict] = {
+            rel["name"]: rel for rel in spec.get("relations", ())
+        }
 
     # ------------------------------------------------------------------
     # Public API
@@ -114,40 +119,33 @@ class CWriter:
                 lines.append(f"static rtos_mutex_t *{ident}_mutex;")
                 lines.append(f"static volatile intptr_t {ident}_value;")
             else:
-                raise BuildError(f"unknown relation kind {kind!r} for {name!r}")
+                raise BuildError(
+                    f"relation {name!r}: the generated C API has no {kind} "
+                    "relations"
+                )
         return lines
 
     def _task_function(self, fn_spec: Dict) -> List[str]:
-        name = fn_spec.get("name")
-        if not name:
-            raise BuildError(f"function spec missing a name: {fn_spec!r}")
+        name = fn_spec["name"]
         ident = c_identifier(name)
         lines = [f"static void task_{ident}(void *arg) {{", "    (void)arg;"]
-        script = fn_spec.get("script")
-        if script is None:
+        ops = getattr(self.system.functions[name], "script_ops", None)
+        if ops is None:
             lines += [
                 f"    /* TODO: behavior of {name!r} was given as Python",
                 "     * code; implement it here by hand. */",
             ]
         else:
-            # reuse the simulator's validator so generated code and
-            # simulation share one notion of a well-formed script
-            ops = _validate_block(self._stub_system(), script, path=name)
-            lines.extend(self._emit_block(ops, indent=1))
+            lines.extend(
+                self._emit_block(ops, 1, f"function {name!r}: script"))
         lines.append("}")
         return lines
 
-    def _stub_system(self) -> System:
-        """A throwaway System holding just the relation registry, so the
-        shared script validator can resolve relation names."""
-        system = System.__new__(System)
-        system.relations = {name: object() for name in self.relations}
-        return system
-
-    def _emit_block(self, ops: List, indent: int) -> List[str]:
+    def _emit_block(self, ops: List, indent: int, path: str) -> List[str]:
         pad = "    " * indent
         lines: List[str] = []
-        for op_name, args in ops:
+        for index, (op_name, args) in enumerate(ops):
+            where = f"{path}[{index}]"
             if op_name == "execute":
                 cost = args[0]
                 if isinstance(cost, tuple):
@@ -155,40 +153,17 @@ class CWriter:
                 lines.append(f"{pad}rtos_busy_us({_us(cost)});")
             elif op_name == "delay":
                 lines.append(f"{pad}rtos_delay_us({_us(args[0])});")
-            elif op_name == "wait":
-                lines.append(f"{pad}rtos_event_wait({self._ref(args[0])});")
-            elif op_name == "signal":
-                lines.append(f"{pad}rtos_event_signal({self._ref(args[0])});")
-            elif op_name == "read":
-                lines.append(
-                    f"{pad}(void)rtos_queue_recv({self._ref(args[0])});"
-                )
-            elif op_name == "write":
-                lines.append(
-                    f"{pad}rtos_queue_send({self._ref(args[0])}, "
-                    f"{_message(args[1])});"
-                )
-            elif op_name == "lock":
-                lines.append(
-                    f"{pad}rtos_mutex_lock({self._ref(args[0])}_mutex);"
-                )
-            elif op_name == "unlock":
-                lines.append(
-                    f"{pad}rtos_mutex_unlock({self._ref(args[0])}_mutex);"
-                )
-            elif op_name == "read_shared":
-                ident = self._ref(args[0])
+            elif op_name in _C_CALLS:
+                parsers = RELATION_OPS[op_name][2]
+                if len(args) > 1 + len(parsers) and args[-1] is not None:
+                    raise BuildError(
+                        f"{where}: the generated C API has no {op_name} "
+                        f"with a timeout ({format_time(args[-1])})"
+                    )
+                value = _message(args[1]) if parsers else ""
                 lines += [
-                    f"{pad}rtos_mutex_lock({ident}_mutex);",
-                    f"{pad}(void){ident}_value;",
-                    f"{pad}rtos_mutex_unlock({ident}_mutex);",
-                ]
-            elif op_name == "write_shared":
-                ident = self._ref(args[0])
-                lines += [
-                    f"{pad}rtos_mutex_lock({ident}_mutex);",
-                    f"{pad}{ident}_value = {_message(args[1])};",
-                    f"{pad}rtos_mutex_unlock({ident}_mutex);",
+                    pad + line.format(r=c_identifier(args[0]), v=value)
+                    for line in _C_CALLS[op_name]
                 ]
             elif op_name == "set_preemptive":
                 lines.append(
@@ -203,16 +178,13 @@ class CWriter:
                         f"{pad}for (int i_{indent} = 0; "
                         f"i_{indent} < {count}; i_{indent}++) {{"
                     )
-                lines.extend(self._emit_block(body, indent + 1))
+                lines.extend(self._emit_block(body, indent + 1, where))
                 lines.append(f"{pad}}}")
-            else:  # pragma: no cover - validator forbids this
-                raise BuildError(f"cannot generate op {op_name!r}")
+            else:
+                raise BuildError(
+                    f"{where}: the generated C API has no {op_name}"
+                )
         return lines
-
-    def _ref(self, relation_name: str) -> str:
-        if relation_name not in self.relations:
-            raise BuildError(f"unknown relation {relation_name!r}")
-        return c_identifier(relation_name)
 
     # ------------------------------------------------------------------
     # main()

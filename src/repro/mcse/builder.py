@@ -39,35 +39,42 @@ Behaviors are either a Python callable (``"behavior": fn``) or a
 ``"script"``: a small interpreted op list (the shape a graphical capture
 tool would emit).  Supported ops:
 
-=============================  =============================================
-``["execute", dur]``           consume CPU time; ``dur`` may be an
-                               interval ``"lo..hi"`` (or ``[lo, hi]``)
-                               whose lower bound is the nominal time and
-                               whose span the model checker explores
-``["delay", dur]``             wall-clock delay (no CPU)
-``["delay_until", period]``    fixed-cadence release: delay to the next
-                               multiple of ``period`` from the first call
-``["wait", event, tmo?]``      wait on an event relation
-``["signal", event]``          signal an event relation
-``["read", queue, tmo?]``      read a message (value discarded)
-``["write", queue, value, tmo?]`` write a message
-``["lock", shared]``           lock a shared variable
-``["unlock", shared]``         unlock it
-``["read_shared", shared]``    lock+read+unlock convenience
-``["write_shared", shared, v]`` lock+write+unlock convenience
-``["set_flag", flags, bits]``  OR bits into an eventflag relation
-``["clr_flag", flags, mask]``  AND an eventflag pattern with a mask
-``["wait_flag", flags, bits, mode, tmo?]`` wait for a flag pattern
-                               (``mode``: "and"/"or")
-``["loop", n, body]``          repeat ``body`` n times (``None`` = forever)
-``["set_preemptive", bool]``   toggle the mapped processor's mode
-=============================  =============================================
+=================================  =========================================
+``["execute", dur]``               consume CPU time; ``dur`` may be an
+                                   interval ``"lo..hi"`` (or ``[lo, hi]``)
+                                   whose lower bound is the nominal time and
+                                   whose span the model checker explores
+``["delay", dur]``                 wall-clock delay (no CPU)
+``["delay_until", period]``        fixed-cadence release: delay to the next
+                                   multiple of ``period`` from the first call
+``["wait", event, tmo?]``          wait on an ``event`` relation
+``["signal", event]``              signal an ``event`` relation
+``["read", queue, tmo?]``          read a message from a ``queue`` (value
+                                   discarded)
+``["write", queue, value, tmo?]``  write a message to a ``queue``
+``["lock", shared]``               lock a ``shared`` variable
+``["unlock", shared]``             unlock it
+``["read_shared", shared]``        lock+read+unlock convenience
+``["write_shared", shared, v]``    lock+write+unlock convenience
+``["set_flag", flags, bits]``      OR bits into a ``flags`` relation
+``["clr_flag", flags, mask]``      AND a ``flags`` pattern with a mask
+``["wait_flag", flags, bits, mode, tmo?]``
+                                   wait for a ``flags`` pattern (``mode``:
+                                   "and"/"or")
+``["loop", n, body]``              repeat ``body`` n times (``None`` =
+                                   forever)
+``["set_preemptive", bool]``       toggle the mapped processor's mode (the
+                                   function needs a ``processor``)
+=================================  =========================================
 
-Durations accept anything :func:`repro.kernel.time.parse_time` does
-and must not be negative; a bad one (both bounds of an interval
-included) is a :class:`BuildError` naming the op's path, raised at
-build time.  The optional ``tmo?`` timeouts additionally accept ``None`` /
-``"forever"`` (block indefinitely) and ``0`` (non-blocking poll).
+A relation op is a :class:`~repro.mcse.function.Function` call (see
+:data:`RELATION_OPS`) on a relation of the kind its first argument names;
+any other kind, like every malformed op, is a :class:`BuildError` naming
+the op's path, raised at build time.  Durations accept anything
+:func:`repro.kernel.time.parse_time` does and must not be negative (both
+bounds of an interval included).  The optional ``tmo?`` timeouts
+additionally accept ``None`` / ``"forever"`` (block indefinitely) and
+``0`` (non-blocking poll).
 """
 
 from __future__ import annotations
@@ -77,8 +84,11 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import BuildError
 from ..kernel.time import format_time, parse_time
+from .events import EventFlags, EventRelation
 from .function import Function
 from .model import System
+from .queues import MessageQueue
+from .shared import SharedVariable
 
 
 #: The only keys a top-level spec may carry.  Unknown keys are a hard
@@ -461,7 +471,8 @@ def _build_function(system: System, spec: Dict, spec_text: str) -> Step:
     if behavior is None:
         if script is None:
             raise BuildError(f"function {name!r} needs a behavior or a script")
-        ops = _validate_block(system, script, path="script")
+        ops = _validate_block(system, script, "script",
+                              processor is not None)
     else:
         ops = getattr(behavior, "script_ops", None)
     if "start_time" in spec:
@@ -544,13 +555,56 @@ def _script_behavior(system: System, ops: List) -> Callable[[Function], Generato
     return behavior
 
 
-def _validate_block(system: System, block: List, path: str) -> List:
+def _value(value, where: str):
+    return value  # a message or shared value: any datum
+
+
+def _pattern(value, where: str) -> int:
+    if not isinstance(value, int):
+        raise BuildError(f"{where}: bit pattern must be an int, got {value!r}")
+    return value
+
+
+def _mode(value, where: str) -> str:
+    if value not in ("and", "or"):
+        raise BuildError(
+            f"{where}: wait_flag mode must be 'and' or 'or', got {value!r}"
+        )
+    return value
+
+
+#: Every relation op of the script language: ``op -> (Function method,
+#: relation class, parsers of the arguments after the relation, one
+#: optional trailing timeout)``.  The op's arguments are the method's
+#: positional arguments, the relation (resolved by name) first.
+#: Validation, execution, effect lowering (:mod:`repro.analyze.effects`)
+#: and C generation (:mod:`repro.codegen`) all read this one table.
+RELATION_OPS: Dict[str, Tuple[str, type, Tuple[Callable, ...], bool]] = {
+    "wait": ("wait", EventRelation, (), True),
+    "signal": ("signal", EventRelation, (), False),
+    "read": ("read", MessageQueue, (), True),
+    "write": ("write", MessageQueue, (_value,), True),
+    "lock": ("lock", SharedVariable, (), False),
+    "unlock": ("unlock", SharedVariable, (), False),
+    "read_shared": ("read_shared", SharedVariable, (), False),
+    "write_shared": ("write_shared", SharedVariable, (_value,), False),
+    "set_flag": ("set_flag", EventFlags, (_pattern,), False),
+    "clr_flag": ("clear_flag", EventFlags, (_pattern,), False),
+    "wait_flag": ("wait_flag", EventFlags, (_pattern, _mode), True),
+}
+
+
+def _validate_block(system: System, block: List, path: str,
+                    mapped: bool) -> List:
+    """Validate and parse a script ``block``; ``mapped``: the function
+    has a processor."""
     if not isinstance(block, (list, tuple)):
         raise BuildError(f"{path}: expected an op list, got {block!r}")
     ops = []
     for index, op in enumerate(block):
         where = f"{path}[{index}]"
-        if not isinstance(op, (list, tuple)) or not op:
+        if not isinstance(op, (list, tuple)) or not op \
+                or not isinstance(op[0], str):
             raise BuildError(f"{where}: malformed op {op!r}")
         name, args = op[0], list(op[1:])
         if name == "execute":
@@ -563,63 +617,39 @@ def _validate_block(system: System, block: List, path: str) -> List:
             args[0] = _parse_duration(args[0], where)
             if name == "delay_until" and args[0] <= 0:
                 raise BuildError(f"{where}: delay_until period must be > 0")
-        elif name in ("wait", "read"):
-            if len(args) not in (1, 2):
+        elif name in RELATION_OPS:
+            _, kind, parsers, timeout = RELATION_OPS[name]
+            arity = 1 + len(parsers)
+            if not arity <= len(args) <= arity + timeout:
+                usage = ", ".join(["a relation name"] + [
+                    "a " + parse.__name__[1:] for parse in parsers])
+                raise BuildError(f"{where}: {name} takes {usage}" + (
+                    " and an optional timeout" if timeout else ""))
+            relation = _relation(system, args[0], where)
+            if not isinstance(relation, kind):
                 raise BuildError(
-                    f"{where}: {name} takes a relation name and an "
-                    "optional timeout"
+                    f"{where}: {name} on {args[0]!r}: expected "
+                    f"{kind.__name__}, got {type(relation).__name__}"
                 )
-            _relation(system, args[0], where)
-            if len(args) == 2:
-                args[1] = _parse_timeout(args[1], where)
-        elif name in ("signal", "lock", "unlock", "read_shared"):
-            if len(args) != 1:
-                raise BuildError(f"{where}: {name} takes one relation name")
-            _relation(system, args[0], where)
-        elif name == "write":
-            if len(args) not in (2, 3):
-                raise BuildError(
-                    f"{where}: {name} takes relation, value and an "
-                    "optional timeout"
-                )
-            _relation(system, args[0], where)
-            if len(args) == 3:
-                args[2] = _parse_timeout(args[2], where)
-        elif name == "write_shared":
-            if len(args) != 2:
-                raise BuildError(f"{where}: {name} takes relation and value")
-            _relation(system, args[0], where)
-        elif name in ("set_flag", "clr_flag"):
-            if len(args) != 2 or not isinstance(args[1], int):
-                raise BuildError(
-                    f"{where}: {name} takes a relation name and a bit "
-                    "pattern"
-                )
-            _flags_relation(system, args[0], where)
-        elif name == "wait_flag":
-            if len(args) not in (3, 4) or not isinstance(args[1], int):
-                raise BuildError(
-                    f"{where}: wait_flag takes relation, pattern, "
-                    "mode ('and'/'or') and an optional timeout"
-                )
-            _flags_relation(system, args[0], where)
-            if args[2] not in ("and", "or"):
-                raise BuildError(
-                    f"{where}: wait_flag mode must be 'and' or 'or', "
-                    f"got {args[2]!r}"
-                )
-            if len(args) == 4:
-                args[3] = _parse_timeout(args[3], where)
+            for position, parse in enumerate(parsers, 1):
+                args[position] = parse(args[position], where)
+            if len(args) > arity:
+                args[arity] = _parse_timeout(args[arity], where)
         elif name == "loop":
             if len(args) != 2:
                 raise BuildError(f"{where}: loop takes a count and a body")
             count = args[0]
             if count is not None and (not isinstance(count, int) or count < 0):
                 raise BuildError(f"{where}: loop count must be None or int >= 0")
-            args[1] = _validate_block(system, args[1], where)
+            args[1] = _validate_block(system, args[1], where, mapped)
         elif name == "set_preemptive":
             if len(args) != 1 or not isinstance(args[0], bool):
                 raise BuildError(f"{where}: set_preemptive takes a bool")
+            if not mapped:
+                raise BuildError(
+                    f"{where}: set_preemptive needs an RTOS mapping (a "
+                    "processor)"
+                )
         else:
             raise BuildError(f"{where}: unknown op {name!r}")
         ops.append((name, args))
@@ -700,19 +730,8 @@ def _parse_timeout(value, where: str):
 def _relation(system: System, name: str, where: str):
     try:
         return system.relations[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise BuildError(f"{where}: unknown relation {name!r}") from None
-
-
-def _flags_relation(system: System, name: str, where: str):
-    from .events import EventFlags
-
-    relation = _relation(system, name, where)
-    if not isinstance(relation, EventFlags):
-        raise BuildError(
-            f"{where}: {name!r} is not an eventflag relation"
-        )
-    return relation
 
 
 def _run_block(system: System, fn: Function, ops: List) -> Generator:
@@ -727,6 +746,10 @@ def _run_block(system: System, fn: Function, ops: List) -> Generator:
             yield from fn.context.execute(fn, resolve_duration(fn, args[0]))
         elif name == "delay":
             yield from fn.context.delay(fn, args[0])
+        elif name in RELATION_OPS:
+            yield from getattr(fn, RELATION_OPS[name][0])(
+                system.relations[args[0]], *args[1:]
+            )
         elif name == "delay_until":
             # vTaskDelayUntil-style fixed-cadence release: the anchor is
             # this call's first activation, each call advances it by one
@@ -740,45 +763,7 @@ def _run_block(system: System, fn: Function, ops: List) -> Generator:
             remaining = target - fn.sim.now
             if remaining > 0:
                 yield from fn.context.delay(fn, remaining)
-        elif name == "wait":
-            yield from fn.wait(
-                system.relations[args[0]],
-                timeout=args[1] if len(args) > 1 else None,
-            )
-        elif name == "signal":
-            yield from fn.signal(system.relations[args[0]])
-        elif name == "read":
-            yield from fn.read(
-                system.relations[args[0]],
-                timeout=args[1] if len(args) > 1 else None,
-            )
-        elif name == "write":
-            yield from fn.write(
-                system.relations[args[0]], args[1],
-                timeout=args[2] if len(args) > 2 else None,
-            )
-        elif name == "set_flag":
-            yield from fn.set_flag(system.relations[args[0]], args[1])
-        elif name == "clr_flag":
-            yield from fn.clear_flag(system.relations[args[0]], args[1])
-        elif name == "wait_flag":
-            yield from fn.wait_flag(
-                system.relations[args[0]], args[1], args[2],
-                timeout=args[3] if len(args) > 3 else None,
-            )
-        elif name == "lock":
-            yield from fn.lock(system.relations[args[0]])
-        elif name == "unlock":
-            yield from fn.unlock(system.relations[args[0]])
-        elif name == "read_shared":
-            yield from fn.read_shared(system.relations[args[0]])
-        elif name == "write_shared":
-            yield from fn.write_shared(system.relations[args[0]], args[1])
         elif name == "set_preemptive":
-            if fn.task is None:
-                raise BuildError(
-                    f"function {fn.name!r}: set_preemptive needs an RTOS mapping"
-                )
             fn.task.processor.set_preemptive(args[0])
         elif name == "loop":
             count, body = args

@@ -40,7 +40,8 @@ schedule exports to ``trace.{vcd,svg,html}`` byte-identically::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, \
+from dataclasses import fields
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, \
     Tuple, TYPE_CHECKING
 
 from ..analyze.diagnostics import Report, merge_suppressions
@@ -73,21 +74,25 @@ def assert_always(fn: Callable, name: Optional[str] = None) -> Invariant:
     return Invariant(fn, name)
 
 
+#: The bound keywords :func:`verify_model` and :func:`replay_model` both
+#: take: every :class:`VerifyOptions` field, so the two cannot drift.
+BOUND_KEYWORDS = tuple(field.name for field in fields(VerifyOptions))
+
+
 def _make_options(options: Optional[VerifyOptions],
-                  **kwargs: Any) -> VerifyOptions:
-    if options is None:
-        max_depth = kwargs.get("max_depth")
-        options = VerifyOptions(
-            horizon=kwargs.get("horizon"),
-            max_depth=64 if max_depth is None else max_depth,
-            sanitize=bool(kwargs.get("sanitize")),
-            inversion_bound=kwargs.get("inversion_bound"),
-            preemption_bound=kwargs.get("preemption_bound"),
-            starvation_bound=kwargs.get("starvation_bound"),
-            explore_preempt_modes=bool(kwargs.get("explore_preempt_modes")),
+                  bounds: Dict[str, Any]) -> VerifyOptions:
+    unknown = sorted(set(bounds) - set(BOUND_KEYWORDS))
+    if unknown:
+        raise VerifyError(
+            f"unknown verify keywords {unknown}; bounds are "
+            f"{list(BOUND_KEYWORDS)}"
         )
-    elif any(value is not None and value is not False
-             for value in kwargs.values()):
+    # an unset bound (None or False) keeps the VerifyOptions default
+    given = {key: value for key, value in bounds.items()
+             if value is not None and value is not False}
+    if options is None:
+        options = VerifyOptions(**given)
+    elif given:
         raise VerifyError(
             "pass either options= or individual bound keywords, not both"
         )
@@ -101,31 +106,20 @@ def verify_model(
     strategy: str = "dfs",
     options: Optional[VerifyOptions] = None,
     invariants: Sequence[Invariant] = (),
-    horizon: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    sanitize: bool = False,
-    inversion_bound: Optional[int] = None,
-    preemption_bound: Optional[int] = None,
-    starvation_bound: Optional[int] = None,
-    explore_preempt_modes: bool = False,
     max_runs: int = 10_000,
     runs: int = 100,
     seed: int = 0,
+    **bounds: Any,
 ) -> VerifyResult:
     """Check every bounded schedule of the model built by ``factory``.
 
     ``strategy`` selects the exploration: ``"dfs"`` (exhaustive with
     canonical-state dedup; ``max_runs`` bounds the run count) or
     ``"random"`` (``runs`` seeded samples -- the large-space fallback).
+    The bounds are ``options`` or the :data:`BOUND_KEYWORDS` (the
+    :class:`VerifyOptions` fields: ``horizon``, ``max_depth``, ...).
     """
-    opts = _make_options(
-        options,
-        horizon=horizon, max_depth=max_depth, sanitize=sanitize,
-        inversion_bound=inversion_bound,
-        preemption_bound=preemption_bound,
-        starvation_bound=starvation_bound,
-        explore_preempt_modes=explore_preempt_modes,
-    )
+    opts = _make_options(options, bounds)
     if strategy == "dfs":
         return explore_dfs(
             factory, opts, invariants, max_runs=max_runs
@@ -151,25 +145,15 @@ def replay_model(
     options: Optional[VerifyOptions] = None,
     invariants: Sequence[Invariant] = (),
     expected: Sequence[ChoicePoint] = (),
-    horizon: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    sanitize: bool = False,
-    inversion_bound: Optional[int] = None,
-    preemption_bound: Optional[int] = None,
-    starvation_bound: Optional[int] = None,
+    **bounds: Any,
 ) -> Tuple[System, "TraceRecorder", RunOutcome]:
     """Re-execute a counterexample's choices with a trace recorder.
 
-    Returns ``(system, recorder, outcome)``.
+    Takes the bounds the exploration took (``options`` or the
+    :data:`BOUND_KEYWORDS`).  Returns ``(system, recorder, outcome)``.
     """
-    opts = _make_options(
-        options,
-        horizon=horizon, max_depth=max_depth, sanitize=sanitize,
-        inversion_bound=inversion_bound,
-        preemption_bound=preemption_bound,
-        starvation_bound=starvation_bound,
-    )
-    return replay(factory, choices, opts, invariants, expected=expected)
+    return replay(factory, choices, _make_options(options, bounds),
+                  invariants, expected=expected)
 
 
 def replay_spec(spec: dict, choices: Sequence[int],
@@ -260,6 +244,7 @@ def build_report(
 
 
 __all__ = [
+    "BOUND_KEYWORDS",
     "ChoiceController",
     "ChoicePoint",
     "Counterexample",

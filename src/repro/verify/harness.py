@@ -301,7 +301,9 @@ def replay(
 
     Returns ``(system, recorder, outcome)``; the recorder holds the full
     trace of the failing schedule, ready for the standard
-    ``trace.{vcd,svg,html}`` exports.
+    ``trace.{vcd,svg,html}`` exports.  A run that consumes fewer choices
+    than ``choices`` holds did not replay the schedule: a
+    :class:`VerifyError`.
     """
     options.validate()
     controller = ScriptedController(
@@ -313,6 +315,12 @@ def replay(
     error = drive(system, options.horizon)
     monitors.finish(error)
     monitors.detach()
+    if len(controller.trail) < len(choices):
+        raise VerifyError(
+            f"replay consumed {len(controller.trail)} of {len(choices)} "
+            "choices: the model offered fewer choice points than the "
+            "schedule records (were the same bounds passed?)"
+        )
     outcome = RunOutcome(
         trail=list(controller.trail),
         violations=list(monitors.violations),

@@ -1,5 +1,6 @@
 """Tests for C code generation (paper §6 future work)."""
 
+import re
 import shutil
 import subprocess
 
@@ -99,9 +100,11 @@ class TestGeneration:
     def test_set_preemptive(self):
         spec = {
             "relations": [],
+            "processors": [{"name": "cpu"}],
             "functions": [
-                {"name": "f", "script": [["set_preemptive", False],
-                                          ["set_preemptive", True]]}
+                {"name": "f", "processor": "cpu",
+                 "script": [["set_preemptive", False],
+                            ["set_preemptive", True]]}
             ],
         }
         app = generate_c(spec)["app.c"]
@@ -112,6 +115,50 @@ class TestGeneration:
         spec = {"relations": [],
                 "functions": [{"name": "f", "script": [["wait", "ghost"]]}]}
         with pytest.raises(BuildError):
+            generate_c(spec)
+
+    def test_untimed_waits_take_forever_and_none(self):
+        spec = {
+            "relations": [{"kind": "event", "name": "e"},
+                          {"kind": "queue", "name": "q"}],
+            "functions": [{"name": "f", "script": [
+                ["wait", "e", None], ["read", "q", "forever"],
+                ["write", "q", 1, None],
+            ]}],
+        }
+        app = generate_c(spec)["app.c"]
+        assert "rtos_event_wait(e);" in app
+        assert "(void)rtos_queue_recv(q);" in app
+        assert "rtos_queue_send(q, 1);" in app
+
+    @pytest.mark.parametrize("op,message", [
+        (["wait", "e", 0], "wait with a timeout (0s)"),
+        (["wait", "e", "5us"], "wait with a timeout (5us)"),
+        (["read", "q", 0], "read with a timeout (0s)"),
+        (["write", "q", 1, "2us"], "write with a timeout (2us)"),
+        (["delay_until", "1ms"], "delay_until"),
+    ])
+    def test_inexpressible_op_names_function_and_path(self, op, message):
+        spec = {
+            "relations": [{"kind": "event", "name": "e"},
+                          {"kind": "queue", "name": "q"}],
+            "functions": [{"name": "f", "script": [
+                ["execute", "1us"], ["loop", 2, [op]],
+            ]}],
+        }
+        with pytest.raises(BuildError, match="^" + re.escape(
+                "function 'f': script[1][0]: the generated C API has no "
+                + message)):
+            generate_c(spec)
+
+    def test_flags_relation_rejected(self):
+        spec = {
+            "relations": [{"kind": "flags", "name": "fl"}],
+            "functions": [{"name": "f", "script": [["set_flag", "fl", 1]]}],
+        }
+        with pytest.raises(BuildError,
+                           match="relation 'fl': the generated C API has no "
+                                 "flags relations"):
             generate_c(spec)
 
     def test_write_to_directory(self, tmp_path):

@@ -3,8 +3,11 @@
 Random—but grammatically valid—specs must always elaborate, simulate
 without kernel errors, and produce structurally sound C. This guards
 the builder/codegen grammar against regressions from either side.
+A fixed-seed mutation pass then points every relation op of the corpus
+at a relation of each wrong kind: each mutant must fail at build time.
 """
 
+import copy
 import subprocess
 import shutil
 
@@ -13,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import generate_c
+from repro.corpus import GENERATORS, generate
+from repro.errors import BuildError
 from repro.mcse import build_system
+from repro.mcse.builder import RELATION_OPS
+from repro.personality import lower_spec
+
+from ..mcse.test_builder import KIND_OF
 
 RELATIONS = [
     {"kind": "event", "name": "ev_f", "policy": "fugitive"},
@@ -128,3 +137,69 @@ class TestCodegenCompileFuzz:
             ["cc", "-fsyntax-only", "-Wall", "app.c"],
             cwd=out, check=True, capture_output=True,
         )
+
+
+#: One decoy relation of every kind, so each relation op of a spec has
+#: a relation of each wrong kind to be pointed at.
+DECOYS = {"event": "decoy_event", "queue": "decoy_queue",
+          "shared": "decoy_shared", "flags": "decoy_flags"}
+
+
+def mutation_specs():
+    """Seed-0/1/2 specs of every generic generator, plus lowered FreeRTOS."""
+    for kind in sorted(GENERATORS):
+        for seed in range(3):
+            spec = generate(kind, seed)
+            if spec.get("personality"):
+                spec = lower_spec(spec).spec
+            yield f"{kind}:{seed}", spec
+
+
+def relation_op_paths(script, path=()):
+    """The index path of every relation op in a (nested) script."""
+    for index, op in enumerate(script):
+        if op[0] == "loop":
+            yield from relation_op_paths(op[2], path + (index, 2))
+        elif op[0] in RELATION_OPS:
+            yield path + (index,)
+
+
+def wrong_kind_mutants(spec):
+    """Each relation op pointed at a relation of every other kind."""
+    base = copy.deepcopy(spec)
+    kinds = {rel["name"]: rel["kind"] for rel in base.get("relations", ())}
+    base.setdefault("relations", []).extend(
+        {"kind": kind, "name": name} for kind, name in DECOYS.items())
+    targets = dict(DECOYS)
+    for name, kind in kinds.items():
+        targets[kind] = name  # prefer the spec's own relations
+    for f_index, fn in enumerate(base["functions"]):
+        for path in relation_op_paths(fn.get("script", ())):
+            op = fn["script"]
+            for step in path:
+                op = op[step]
+            for kind, name in sorted(targets.items()):
+                if issubclass(KIND_OF[kind], RELATION_OPS[op[0]][1]):
+                    continue
+                mutant = copy.deepcopy(base)
+                target = mutant["functions"][f_index]["script"]
+                for step in path:
+                    target = target[step]
+                target[1] = name
+                yield f"{fn['name']}{list(path)} {op[0]}->{kind}", mutant
+
+
+class TestWrongKindMutation:
+    def test_every_wrong_kind_mutant_fails_at_build_time(self):
+        mutants, escapes = 0, []
+        for label, spec in mutation_specs():
+            build_system(spec)  # the unmutated spec builds
+            for where, mutant in wrong_kind_mutants(spec):
+                mutants += 1
+                try:
+                    build_system(mutant)
+                except BuildError:
+                    continue
+                escapes.append(f"{label} {where}")
+        assert escapes == []
+        assert mutants > 200  # the corpus really exercises relation ops

@@ -1,12 +1,20 @@
 """Tests for the declarative system builder (the 'code generator')."""
 
+import inspect
 import re
 
 import pytest
 
 from repro.errors import BuildError
 from repro.kernel.time import US
-from repro.mcse import build_system
+from repro.mcse import EventRelation, Function, MessageQueue, \
+    SharedVariable, build_system
+from repro.mcse.builder import RELATION_OPS
+from repro.mcse.events import EventFlags
+
+#: The model class behind each spec relation kind.
+KIND_OF = {"event": EventRelation, "queue": MessageQueue,
+           "shared": SharedVariable, "flags": EventFlags}
 
 
 def fig6_spec():
@@ -270,6 +278,55 @@ class TestSpecValidation:
         ]}
         with pytest.raises(BuildError,
                            match="^" + re.escape(f"script[1][0]: {message}")):
+            build_system(spec)
+
+    @pytest.mark.parametrize("op,kind", [
+        (op, kind) for op, (_, cls, _, _) in RELATION_OPS.items()
+        for kind in sorted(KIND_OF) if not issubclass(KIND_OF[kind], cls)
+    ])
+    def test_relation_of_the_wrong_kind_fails_at_build_time(self, op, kind):
+        _, cls, parsers, _ = RELATION_OPS[op]
+        args = {"write": [7], "write_shared": [7], "set_flag": [1],
+                "clr_flag": [1], "wait_flag": [1, "or"]}.get(op, [])
+        assert len(args) == len(parsers)
+        spec = {
+            "relations": [{"kind": k, "name": k} for k in sorted(KIND_OF)],
+            "functions": [{"name": "f", "script": [
+                ["loop", 1, [[op, kind] + args]],
+            ]}],
+        }
+        with pytest.raises(BuildError, match="^" + re.escape(
+                f"script[0][0]: {op} on {kind!r}: expected {cls.__name__}, "
+                "got ")):
+            build_system(spec)
+
+    def test_every_relation_op_has_a_test_kind(self):
+        classes = {cls for _, cls, _, _ in RELATION_OPS.values()}
+        assert classes == set(KIND_OF.values())
+
+    @pytest.mark.parametrize("op", sorted(RELATION_OPS))
+    def test_op_arguments_are_the_method_positionals(self, op):
+        method, _, parsers, timeout = RELATION_OPS[op]
+        params = list(inspect.signature(getattr(Function, method))
+                      .parameters)[1:]  # drop self
+        assert len(params) >= 1 + len(parsers) + timeout
+        if timeout:
+            assert params[1 + len(parsers)] == "timeout"
+
+    def test_set_preemptive_without_processor_fails_at_build_time(self):
+        spec = {"functions": [
+            {"name": "f", "script": [["loop", 2, [["set_preemptive", True]]]]},
+        ]}
+        with pytest.raises(BuildError, match=re.escape(
+                "script[0][0]: set_preemptive needs an RTOS mapping")):
+            build_system(spec)
+
+    @pytest.mark.parametrize("op", [[["wait"], "x"], [None], ["wait", ["x"]],
+                                    ["wait", {"x": 1}]])
+    def test_unhashable_op_parts_are_build_errors(self, op):
+        spec = {"relations": [{"kind": "event", "name": "x"}],
+                "functions": [{"name": "f", "script": [op]}]}
+        with pytest.raises(BuildError, match=r"^script\[0\]: "):
             build_system(spec)
 
     @pytest.mark.parametrize("priority", ["hi", True, 2.5, None])

@@ -12,11 +12,14 @@ Both are invisible to a plain simulation: that is the point of the
 verifier, and these tests are the acceptance gate for it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import VerifyError
 from repro.kernel.time import MS
 from repro.verify import (
+    BOUND_KEYWORDS,
     RTSV001,
     RTSV002,
     VerifyOptions,
@@ -131,6 +134,29 @@ class TestPreemptModes:
             preempt_mode_spec(), ce.choices, options=options)
         assert RTSV002 in {v.property_id for v in outcome.violations}
         assert len(recorder) > 0
+
+    def test_the_witness_replays_through_keywords(self):
+        result = verify_spec(preempt_mode_spec(), horizon=1 * MS,
+                             explore_preempt_modes=True)
+        ce = result.counterexample
+        assert ce.choices == (1,)
+        _, _, outcome = replay_spec(preempt_mode_spec(), ce.choices,
+                                    horizon=1 * MS,
+                                    explore_preempt_modes=True)
+        assert RTSV002 in {v.property_id for v in outcome.violations}
+
+    def test_a_replay_that_leaves_choices_unused_is_an_error(self):
+        # without the mode branch the run offers no choice point at all
+        with pytest.raises(VerifyError, match="consumed 0 of 1 choices"):
+            replay_spec(preempt_mode_spec(), (1,), horizon=1 * MS)
+
+    def test_verify_and_replay_take_the_same_bound_keywords(self):
+        assert BOUND_KEYWORDS == tuple(
+            field.name for field in dataclasses.fields(VerifyOptions))
+        for call in (verify_spec, lambda spec, **kw: replay_spec(
+                spec, (), **kw)):
+            with pytest.raises(VerifyError, match="unknown verify keywords"):
+                call(preempt_mode_spec(), horizn=1 * MS)
 
 
 class TestReplayDeterminism:
