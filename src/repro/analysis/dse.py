@@ -30,6 +30,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -46,11 +47,6 @@ class Parameter:
     values: Tuple
 
     def __init__(self, name: str, values: Iterable) -> None:
-        if name.startswith("__"):
-            raise ReproError(
-                f"parameter name {name!r} is reserved: names starting "
-                "with '__' carry the campaign runner's private keys"
-            )
         values = tuple(values)
         if not values:
             raise ReproError(f"parameter {name!r} has no values")
@@ -83,13 +79,22 @@ def configurations(space: Sequence[Parameter]) -> List[Dict]:
     ]
 
 
+def _design_point(build: Callable[[Dict], object],
+                  metrics: Callable[[Dict, object], Dict],
+                  duration: Optional[Time], config: Dict) -> Dict:
+    """The campaign run of one design point: build, run, measure."""
+    system = build(dict(config))
+    system.run(duration)
+    return {"metrics": metrics(dict(config), system),
+            "simulated_time": system.now}
+
+
 def explore(
     space: Sequence[Parameter],
     build: Callable[[Dict], object],
     metrics: Callable[[Dict, object], Dict],
     *,
     duration: Optional[Time] = None,
-    on_point: Optional[Callable[[ExplorationResult], None]] = None,
     workers: int = 1,
     cache=None,
     timeout: Optional[float] = None,
@@ -114,32 +119,21 @@ def explore(
     """
     configs = configurations(space)
 
-    from ..campaign import Runner, spec_from_design
-    from ..campaign.spec import DURATION_KEY, SIM_NOW_KEY, RunRequest
+    from ..campaign import ExperimentSpec, Runner
 
-    spec = spec_from_design(build, metrics)
-    requests = [
-        RunRequest(index=index, params={**config, DURATION_KEY: duration})
-        for index, config in enumerate(configs)
-    ]
+    spec = ExperimentSpec(
+        "explore", functools.partial(_design_point, build, metrics, duration))
     runner = Runner(workers=workers, cache=cache, timeout=timeout,
                     retries=retries, progress=progress)
-    outcome = runner.execute(spec, requests)
+    outcome = runner.execute(spec, configs)
     if strict:
         outcome.raise_on_failure()
-    results = []
-    for run in outcome.results:
-        point_metrics = dict(run.metrics)
-        simulated_time = point_metrics.pop(SIM_NOW_KEY)
-        result = ExplorationResult(
-            config=dict(configs[run.index]),
-            metrics=point_metrics,
-            simulated_time=simulated_time,
-        )
-        results.append(result)
-        if on_point is not None:
-            on_point(result)
-    return results
+    return [
+        ExplorationResult(config=dict(configs[run.index]),
+                          metrics=run.metrics["metrics"],
+                          simulated_time=run.metrics["simulated_time"])
+        for run in outcome.results
+    ]
 
 
 def _dominates(a: ExplorationResult, b: ExplorationResult,

@@ -18,6 +18,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -79,12 +80,16 @@ class Campaign(dict):
             self.setdefault(name, MetricSample(name)).values.append(value)
 
 
+def _seeded(experiment: Callable[[int], Dict], params: Dict) -> Dict:
+    """The campaign run of a seeded experiment: ``experiment(seed)``."""
+    return experiment(params["seed"])
+
+
 def monte_carlo(
     experiment: Callable[[int], Dict],
     *,
     runs: int,
     base_seed: int = 0,
-    on_run: Callable[[int, Dict], None] = None,
     workers: int = 1,
     cache=None,
     timeout: float = None,
@@ -112,20 +117,19 @@ def monte_carlo(
     if runs < 1:
         raise ReproError(f"need at least one run, got {runs}")
 
-    from ..campaign import Runner, spec_from_experiment
+    from ..campaign import ExperimentSpec, Runner
 
-    spec = spec_from_experiment(experiment, base_seed=base_seed)
-    requests = [spec.request(index, seeded=True) for index in range(runs)]
+    spec = ExperimentSpec(getattr(experiment, "__name__", "experiment"),
+                          functools.partial(_seeded, experiment))
     runner = Runner(workers=workers, cache=cache, timeout=timeout,
                     retries=retries, progress=progress)
-    outcome = runner.execute(spec, requests)
+    outcome = runner.execute(
+        spec, [{"seed": base_seed + index} for index in range(runs)])
     if strict:
         outcome.raise_on_failure()
     campaign = Campaign()
     for result in outcome.results:
         campaign.record(result.metrics)
-        if on_run is not None:
-            on_run(result.params["seed"], result.metrics)
     campaign.failures = outcome.failures
     campaign.stats = outcome.summary()
     return campaign

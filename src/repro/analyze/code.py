@@ -48,10 +48,7 @@ _WALL_CLOCK_TIME_FNS = {"time", "time_ns", "ctime", "localtime", "gmtime"}
 _WALL_CLOCK_DATETIME_FNS = {"now", "today", "utcnow"}
 
 #: Campaign entry points whose callable arguments must be picklable.
-_SPEC_CONSTRUCTORS = {
-    "ExperimentSpec", "spec_from_experiment", "spec_from_design",
-    "monte_carlo", "explore",
-}
+_SPEC_CONSTRUCTORS = {"ExperimentSpec", "monte_carlo", "explore"}
 
 _PRAGMA = re.compile(r"#\s*pyrtos:\s*disable=([A-Za-z0-9_,\s]+)")
 

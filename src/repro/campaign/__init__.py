@@ -4,11 +4,11 @@ The paper's purpose is design-space exploration -- running the same
 RTOS model over many seeds and configurations.  This subsystem turns
 those one-off loops into an orchestrated batch engine:
 
-* :class:`ExperimentSpec` -- a picklable build/run/metrics triple with
-  deterministic per-run seed derivation (:func:`derive_seed`);
-* :class:`Runner` -- runs in-process at ``workers=1`` or shards runs
-  over ``workers=N`` processes with chunked dispatch, per-run
-  ``timeout`` and bounded ``retries``;
+* :class:`ExperimentSpec` -- a name plus one picklable
+  ``run(params) -> metrics`` function;
+* :class:`Runner` -- calls it once per param dict, in-process at
+  ``workers=1`` or sharded over ``workers=N`` processes with chunked
+  dispatch, per-run ``timeout`` and bounded ``retries``;
 * :class:`ResultCache` -- a content-hash-keyed JSONL store under
   ``.campaign-cache/`` so unchanged grid cells are never re-simulated;
 * :class:`ProgressReporter` -- live progress/ETA plus a final
@@ -24,15 +24,7 @@ from .cache import DEFAULT_CACHE_ROOT, ResultCache, resolve_cache, run_key
 from .experiments import mpeg2_experiment
 from .progress import ProgressReporter
 from .runner import CampaignResult, RunFailure, RunResult, Runner
-from .spec import (
-    ExperimentSpec,
-    RunRequest,
-    callable_fingerprint,
-    canonical_json,
-    derive_seed,
-    spec_from_design,
-    spec_from_experiment,
-)
+from .spec import ExperimentSpec, callable_fingerprint, canonical_json
 
 __all__ = [
     "CampaignResult",
@@ -41,15 +33,11 @@ __all__ = [
     "ProgressReporter",
     "ResultCache",
     "RunFailure",
-    "RunRequest",
     "RunResult",
     "Runner",
     "callable_fingerprint",
     "canonical_json",
-    "derive_seed",
     "mpeg2_experiment",
     "resolve_cache",
     "run_key",
-    "spec_from_design",
-    "spec_from_experiment",
 ]

@@ -1,8 +1,8 @@
 """The campaign runner: parallel, cached, fault-tolerant execution.
 
 :class:`Runner` takes an :class:`~repro.campaign.spec.ExperimentSpec`
-plus a list of :class:`~repro.campaign.spec.RunRequest` points and
-executes them
+plus a list of plain param dicts (a dict's position is its run index)
+and calls ``spec.run(params)`` for each of them
 
 * **in parallel** -- ``workers=N`` shards fresh runs over a process
   pool with chunked dispatch (``imap_unordered``), because one Python
@@ -17,7 +17,7 @@ executes them
 
 Determinism guarantee: results are re-ordered by run index before
 aggregation, so the *content* of a :class:`CampaignResult` depends only
-on the spec and the requests -- never on worker count, chunking or
+on the spec and the params -- never on worker count, chunking or
 completion order.
 """
 
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import CampaignError, RunTimeout
 from .cache import resolve_cache
 from .progress import resolve_progress
-from .spec import ExperimentSpec, RunRequest
+from .spec import ExperimentSpec
 
 
 @dataclass
@@ -156,29 +156,28 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _attempt_run(spec: ExperimentSpec, request: RunRequest,
+def _attempt_run(spec: ExperimentSpec, index: int, params: Dict,
                  timeout: Optional[float], retries: int) -> tuple:
-    """Execute one request with bounded retry; never raises."""
+    """Execute one run with bounded retry; never raises."""
     outcome = None
     for attempt in range(1, retries + 2):
         start = time.perf_counter()
         try:
             with _deadline(timeout):
-                metrics = spec.execute(request)
+                metrics = spec.run(params)
             wall = time.perf_counter() - start
-            return ("ok", request.index, metrics, wall, attempt)
+            return ("ok", index, metrics, wall, attempt)
         except RunTimeout as exc:
-            outcome = ("fail", request.index, "RunTimeout", str(exc),
+            outcome = ("fail", index, "RunTimeout", str(exc),
                        "", attempt, True)
         except Exception as exc:  # structured record, not an abort
-            outcome = ("fail", request.index, type(exc).__name__,
+            outcome = ("fail", index, type(exc).__name__,
                        str(exc), traceback.format_exc(), attempt, False)
     return outcome
 
 
 def _pool_entry(payload) -> tuple:
-    spec, request, timeout, retries = payload
-    return _attempt_run(spec, request, timeout, retries)
+    return _attempt_run(*payload)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,13 @@ class Runner:
 
     # -- public API ----------------------------------------------------
     def execute(self, spec: ExperimentSpec,
-                requests: Sequence[RunRequest]) -> CampaignResult:
-        """Run every request; returns results in index order."""
+                params_list: Sequence[Dict]) -> CampaignResult:
+        """Run ``spec.run`` on every param dict; results in index order.
+
+        A dict's position in ``params_list`` is its run index.
+        """
         started = time.perf_counter()
-        reporter = resolve_progress(self.progress, len(requests),
+        reporter = resolve_progress(self.progress, len(params_list),
                                     label=spec.name)
         if reporter is not None:
             reporter.start()
@@ -231,26 +233,25 @@ class Runner:
         hits0 = self.cache.hits if self.cache is not None else 0
         miss0 = self.cache.misses if self.cache is not None else 0
 
-        pending: List[RunRequest] = []
-        for request in requests:
+        pending: Dict[int, Dict] = {}
+        for index, params in enumerate(params_list):
             record = None
             if self.cache is not None:
-                record = self.cache.lookup(spec, request.params,
+                record = self.cache.lookup(spec, params,
                                            fingerprint=fingerprint)
             if record is not None:
                 outcome.results.append(RunResult(
-                    index=request.index, params=dict(request.params),
+                    index=index, params=dict(params),
                     metrics=record["metrics"],
                     wall_s=record.get("wall_s", 0.0), cached=True,
                 ))
                 if reporter is not None:
                     reporter.update(cached=1)
             else:
-                pending.append(request)
+                pending[index] = params
 
-        by_index = {request.index: request for request in pending}
         for raw in self._execute_pending(spec, pending):
-            self._absorb(spec, fingerprint, by_index, raw, outcome,
+            self._absorb(spec, fingerprint, pending, raw, outcome,
                          reporter)
 
         outcome.results.sort(key=lambda r: r.index)
@@ -265,18 +266,17 @@ class Runner:
 
     # -- internals -----------------------------------------------------
     def _execute_pending(self, spec: ExperimentSpec,
-                         pending: Sequence[RunRequest]):
+                         pending: Dict[int, Dict]):
         if not pending:
             return
+        payloads = [(spec, index, params, self.timeout, self.retries)
+                    for index, params in pending.items()]
         if self.workers == 1:
-            for request in pending:
-                yield _attempt_run(spec, request, self.timeout,
-                                   self.retries)
+            for payload in payloads:
+                yield _attempt_run(*payload)
             return
 
-        self._check_picklable(spec, pending[0])
-        payloads = [(spec, request, self.timeout, self.retries)
-                    for request in pending]
+        self._check_picklable(payloads[0])
         # ~4 chunks per worker: scheduling overhead vs tail latency
         chunk = max(1, min(32, len(pending) // (self.workers * 4) or 1))
         workers = min(self.workers, len(pending))
@@ -285,39 +285,37 @@ class Runner:
                                            chunksize=chunk):
                 yield raw
 
-    def _absorb(self, spec, fingerprint, by_index, raw, outcome,
+    def _absorb(self, spec, fingerprint, pending, raw, outcome,
                 reporter) -> None:
         if raw[0] == "ok":
             _, index, metrics, wall, attempts = raw
-            request = by_index[index]
+            params = pending[index]
             outcome.results.append(RunResult(
-                index=index, params=dict(request.params),
+                index=index, params=dict(params),
                 metrics=metrics, wall_s=wall, attempts=attempts,
             ))
             if self.cache is not None:
-                self.cache.store(spec, request.params, metrics,
+                self.cache.store(spec, params, metrics,
                                  wall_s=wall, fingerprint=fingerprint)
             if reporter is not None:
                 reporter.update(ok=1)
         else:
             _, index, error_type, message, tb, attempts, timed_out = raw
-            request = by_index[index]
             outcome.failures.append(RunFailure(
-                index=index, params=dict(request.params),
+                index=index, params=dict(pending[index]),
                 error_type=error_type, message=message, traceback=tb,
                 attempts=attempts, timed_out=timed_out,
             ))
             if reporter is not None:
                 reporter.update(failed=1)
 
-    def _check_picklable(self, spec: ExperimentSpec,
-                         sample: RunRequest) -> None:
+    def _check_picklable(self, payload: tuple) -> None:
         try:
-            pickle.dumps((spec, sample))
+            pickle.dumps(payload)
         except Exception as exc:
             raise CampaignError(
-                f"experiment {spec.name!r} cannot be shipped to worker "
-                f"processes: {exc}. Campaign callables must be "
+                f"experiment {payload[0].name!r} cannot be shipped to "
+                f"worker processes: {exc}. Campaign callables must be "
                 "module-level functions (or functools.partial over "
                 "them); use workers=1 for closures/lambdas."
             ) from None

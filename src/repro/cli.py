@@ -490,7 +490,6 @@ def cmd_serve(args) -> int:
         cache=None if args.no_cache else args.cache,
         cache_max_entries=args.cache_max_entries,
         strict_lint=not args.lax_lint,
-        job_timeout=args.job_timeout,
         job_retries=args.retries,
         drain_timeout=args.drain_timeout,
         verbose=args.verbose,
@@ -860,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--lax-lint", action="store_true",
                               help="admit specs with lint warnings "
                                    "(errors still reject)")
-    serve_parser.add_argument("--job-timeout", type=float, default=None,
-                              help="per-job wall-clock limit in seconds")
     serve_parser.add_argument("--retries", type=int, default=0,
                               help="extra attempts per failed job")
     serve_parser.add_argument("--drain-timeout", type=float, default=30.0,

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from ..errors import BuildError
 from ..kernel.time import US, format_time
 from ..mcse.builder import RELATION_OPS, build_system
+from ..personality import lower_spec
 from .api import RTOS_API_H, RTOS_PORT_POSIX_C
 
 _IDENT_RE = re.compile(r"[^0-9a-zA-Z_]")
@@ -56,6 +57,9 @@ class CWriter:
     """Generates the C application for one specification."""
 
     def __init__(self, spec: Dict) -> None:
+        if spec.get("personality"):
+            # emit the tasks and relations the personality lowers to
+            spec = lower_spec(spec).spec
         # the simulator's builder validates the spec, so generated code
         # and simulation share one notion of a well-formed script
         self.system = build_system(spec)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Union
 
 from ..campaign.cache import ResultCache
 from ..campaign.runner import Runner
-from ..campaign.spec import ExperimentSpec, RunRequest, no_run
+from ..campaign.spec import ExperimentSpec
 from ..errors import CorpusError
 from .generators import GENERATORS, generate, spec_digest
 from .pipeline import (
@@ -172,10 +172,6 @@ def run_cell(params: Dict) -> Dict:
     }
 
 
-def _identity_metrics(params: Dict, state: Dict) -> Dict:
-    return dict(state)
-
-
 def run_matrix(doc: Dict, *, workers: int = 1,
                cache: Union[bool, str, Path, ResultCache, None] = None,
                timeout: Optional[float] = None,
@@ -185,17 +181,11 @@ def run_matrix(doc: Dict, *, workers: int = 1,
     cells = expand_matrix(doc)
     if not cells:
         raise CorpusError("matrix expands to zero cells")
-    spec = ExperimentSpec(
-        name=f"corpus-matrix-{doc.get('name', 'matrix')}",
-        build=run_cell,
-        metrics=_identity_metrics,
-        run=no_run,
-    )
+    spec = ExperimentSpec(f"corpus-matrix-{doc.get('name', 'matrix')}",
+                          run_cell)
     runner = Runner(workers=workers, cache=cache, timeout=timeout,
                     progress=progress)
-    requests = [RunRequest(index=index, params=cell)
-                for index, cell in enumerate(cells)]
-    outcome = runner.execute(spec, requests)
+    outcome = runner.execute(spec, cells)
 
     report_cells: List[Dict] = []
     by_property: Dict[str, int] = {}

@@ -277,7 +277,7 @@ def _build_relation(system: System, spec: Dict) -> Step:
                          _RELATION_KEYS[kind])
 
 
-_DURATION_KEYS = (
+_PROCESSOR_TIMES = (
     "scheduling_duration",
     "context_load_duration",
     "context_save_duration",
@@ -300,7 +300,7 @@ def _build_processor(system: System, spec: Dict) -> Step:
     name = spec.pop("name", None)
     if not name:
         raise BuildError(f"processor spec missing a name: {spec!r}")
-    for key in _DURATION_KEYS:
+    for key in _PROCESSOR_TIMES:
         if key in spec:
             spec[key] = parse_time(spec[key])
     if "windows" in spec:

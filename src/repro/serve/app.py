@@ -90,7 +90,6 @@ class Gateway:
                  cache=None, cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES,
                  strict_lint: bool = True,
                  request_timeout: float = 300.0,
-                 job_timeout: Optional[float] = None,
                  job_retries: int = 0,
                  drain_timeout: float = 30.0,
                  verbose: bool = False) -> None:
@@ -106,8 +105,7 @@ class Gateway:
         self.registry = Registry()
         self.metrics = build_gateway_metrics(self.registry)
         self.cache = self._resolve_cache(cache, cache_max_entries)
-        self.store = JobStore(self.cache, timeout=job_timeout,
-                              retries=job_retries)
+        self.store = JobStore(self.cache, retries=job_retries)
         self.queue = AdmissionQueue(queue_size)
         self.limiter = TokenBucket(rate, burst)
         self.pool = WorkerPool(self.store, self.queue, workers=workers,

@@ -3,8 +3,8 @@
 Every ``POST /v1/simulate`` / ``POST /v1/campaign`` turns into a
 :class:`Job` keyed by the **content hash** of its request -- the same
 :func:`repro.campaign.cache.run_key` hashing the campaign cache uses,
-over an :class:`~repro.campaign.spec.ExperimentSpec` wrapping the
-request kind.  Two layers of dedup fall out of that one key:
+over the :class:`~repro.campaign.spec.ExperimentSpec` of the request
+kind.  Two layers of dedup fall out of that one key:
 
 * **in-memory** -- concurrent identical requests share a single
   :class:`Job` (the second client just waits on the first job's event);
@@ -15,9 +15,9 @@ request kind.  Two layers of dedup fall out of that one key:
   spec is a cache hit that never re-simulates, even across server
   restarts.
 
-The simulate result payload is produced by module-level spec callables,
+Each kind's result payload is produced by one module-level function,
 which means tests (and clients) can compute the exact expected bytes of
-a response by calling :data:`SIMULATE_SPEC` ``.execute()`` directly.
+a response by calling :data:`SIMULATE_SPEC` ``.run(params)`` directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from ..campaign.cache import ResultCache, run_key
 from ..campaign.runner import Runner
-from ..campaign.spec import ExperimentSpec, RunRequest, no_run
+from ..campaign.spec import ExperimentSpec
 from ..errors import ReproError
 from ..kernel.time import format_time, parse_time
 from ..mcse.builder import build_system
@@ -61,20 +61,11 @@ def _json_safe(payload):
 # The "simulate" experiment: one spec, one deterministic run, one
 # JSON-native result payload.  Module-level so it fingerprints stably.
 # ---------------------------------------------------------------------------
-def _simulate_build(params: Dict):
+def _simulate(params: Dict) -> Dict:
     system = build_system(params["spec"])
     recorder = TraceRecorder(system.sim)
-    return (system, recorder)
-
-
-def _simulate_run(params: Dict, state) -> None:
-    system, _ = state
     duration = params.get("duration")
     system.run(parse_time(duration) if duration else None)
-
-
-def _simulate_metrics(params: Dict, state) -> Dict:
-    system, recorder = state
     return {
         "name": system.name,
         "end": format_time(system.now),
@@ -89,19 +80,14 @@ def _simulate_metrics(params: Dict, state) -> Dict:
     }
 
 
-SIMULATE_SPEC = ExperimentSpec(
-    name="serve-simulate",
-    build=_simulate_build,
-    run=_simulate_run,
-    metrics=_simulate_metrics,
-)
+SIMULATE_SPEC = ExperimentSpec("serve-simulate", _simulate)
 
 
 # ---------------------------------------------------------------------------
 # The "campaign" experiment: a whole Monte-Carlo campaign as one job,
 # cached at request granularity (the CLI's --json payload shape).
 # ---------------------------------------------------------------------------
-def _campaign_build(params: Dict):
+def _campaign(params: Dict) -> Dict:
     from ..analysis.montecarlo import monte_carlo
     from ..campaign.experiments import mpeg2_experiment
 
@@ -110,15 +96,12 @@ def _campaign_build(params: Dict):
         frames=int(params.get("frames", 8)),
         engine=params.get("engine", "procedural"),
     )
-    return monte_carlo(
+    campaign = monte_carlo(
         experiment,
         runs=int(params.get("runs", 4)),
         base_seed=int(params.get("base_seed", 0)),
         strict=False,
     )
-
-
-def _campaign_metrics(params: Dict, campaign) -> Dict:
     return {
         "runs": campaign.runs,
         "stats": campaign.stats,
@@ -128,12 +111,7 @@ def _campaign_metrics(params: Dict, campaign) -> Dict:
     }
 
 
-CAMPAIGN_SPEC = ExperimentSpec(
-    name="serve-campaign",
-    build=_campaign_build,
-    metrics=_campaign_metrics,
-    run=no_run,
-)
+CAMPAIGN_SPEC = ExperimentSpec("serve-campaign", _campaign)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +119,11 @@ CAMPAIGN_SPEC = ExperimentSpec(
 # exploration is deterministic (DFS order / seeded sampling), so results
 # dedup exactly like simulations do.
 # ---------------------------------------------------------------------------
-def _verify_build(params: Dict):
+def _verify(params: Dict) -> Dict:
     from ..verify import verify_spec
 
     horizon = params.get("horizon")
-    return verify_spec(
+    result = verify_spec(
         params["spec"],
         strategy=params.get("strategy", "dfs"),
         horizon=parse_time(horizon) if horizon else None,
@@ -155,9 +133,6 @@ def _verify_build(params: Dict):
         runs=int(params.get("runs", 100)),
         seed=int(params.get("seed", 0)),
     )
-
-
-def _verify_metrics(params: Dict, result) -> Dict:
     payload = _json_safe(result.to_dict())
     # wall-clock and rate are volatile; drop them so identical requests
     # produce byte-identical (and therefore dedup-cacheable) results
@@ -166,12 +141,7 @@ def _verify_metrics(params: Dict, result) -> Dict:
     return payload
 
 
-VERIFY_SPEC = ExperimentSpec(
-    name="serve-verify",
-    build=_verify_build,
-    metrics=_verify_metrics,
-    run=no_run,
-)
+VERIFY_SPEC = ExperimentSpec("serve-verify", _verify)
 
 #: Request kind -> the ExperimentSpec executing it.
 JOB_SPECS: Dict[str, ExperimentSpec] = {
@@ -228,12 +198,10 @@ class JobStore:
 
     def __init__(self, cache: Optional[ResultCache] = None, *,
                  max_jobs: int = DEFAULT_MAX_JOBS,
-                 timeout: Optional[float] = None,
                  retries: int = 0) -> None:
         self.cache = cache
         self.max_jobs = max_jobs
-        self._runner = Runner(workers=1, cache=cache, timeout=timeout,
-                              retries=retries)
+        self._runner = Runner(workers=1, cache=cache, retries=retries)
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._lock = threading.Lock()
         self._fingerprints = {
@@ -308,9 +276,7 @@ class JobStore:
         job.state = "running"
         spec = JOB_SPECS[job.kind]
         try:
-            outcome = self._runner.execute(
-                spec, [RunRequest(index=0, params=job.params)]
-            )
+            outcome = self._runner.execute(spec, [job.params])
         except Exception as exc:  # defensive: runner itself blew up
             job.state = "failed"
             job.error = {"type": type(exc).__name__, "message": str(exc)}

@@ -35,13 +35,6 @@ class TestConfigurations:
         with pytest.raises(ReproError):
             configurations([Parameter("a", [1]), Parameter("a", [2])])
 
-    def test_runner_private_prefix_rejected(self):
-        # "__..." keys are the campaign runner's (e.g. the duration);
-        # build would never see such a parameter
-        with pytest.raises(ReproError, match="reserved"):
-            Parameter("__x", [1])
-        assert Parameter("_x", [1]).name == "_x"
-
 
 def simple_build(config):
     """A one-task system whose duration depends on the config."""
@@ -77,13 +70,6 @@ class TestExplore:
         assert ends[(0, 10 * US)] == 10 * US
         # 5us overhead adds the dispatch & terminate scheduling passes
         assert ends[(5 * US, 10 * US)] == 20 * US
-
-    def test_on_point_callback(self):
-        seen = []
-        space = [Parameter("overhead", [0]), Parameter("work", [1 * US])]
-        explore(space, simple_build, simple_metrics,
-                on_point=lambda r: seen.append(r.config))
-        assert seen == [{"overhead": 0, "work": 1 * US}]
 
     def test_result_getitem(self):
         result = ExplorationResult(

@@ -27,12 +27,6 @@ class TestCampaignMechanics:
         b = monte_carlo(deterministic_experiment, runs=4)
         assert a["value"].values == b["value"].values
 
-    def test_on_run_callback(self):
-        seen = []
-        monte_carlo(deterministic_experiment, runs=2,
-                    on_run=lambda seed, m: seen.append(seed))
-        assert seen == [0, 1]
-
     def test_zero_runs_rejected(self):
         with pytest.raises(ReproError):
             monte_carlo(deterministic_experiment, runs=0)

@@ -103,13 +103,17 @@ class TestWallClock:
 
 class TestPicklability:
     def test_src210_lambda_argument(self):
-        report = lint("""
-            def main():
-                spec = ExperimentSpec(run=lambda request: {})
-        """)
-        (diag,) = report.by_rule("SRC210")
-        assert "lambda" in diag.message
-        assert "workers > 1" in diag.message
+        for call, where in (
+                ("ExperimentSpec(run=lambda params: {})", "argument 'run'"),
+                ('ExperimentSpec("x", lambda params: {})',
+                 "positional argument")):
+            report = lint(f"""
+                def main():
+                    spec = {call}
+            """)
+            (diag,) = report.by_rule("SRC210")
+            assert f"a lambda as {where}" in diag.message
+            assert "workers > 1" in diag.message
 
     def test_src210_nested_function(self):
         report = lint("""

@@ -3,31 +3,32 @@
 import json
 import os
 
-from repro.campaign import ResultCache, Runner, run_key, spec_from_experiment
+from repro.campaign import ExperimentSpec, ResultCache, Runner, run_key
 
 #: Executions per seed, to prove cache hits skip the experiment.
 CALLS = {}
 
 
-def counting_experiment(seed):
+def counting_experiment(params):
+    seed = params["seed"]
     CALLS[seed] = CALLS.get(seed, 0) + 1
     return {"value": seed * 10}
 
 
-def edited_experiment(seed):
+def edited_experiment(params):
+    seed = params["seed"]
     return {"value": seed * 10 + 1}
 
 
 def _run(spec, runs, cache, **kwargs):
     runner = Runner(cache=cache, **kwargs)
-    requests = [spec.request(i, seeded=True) for i in range(runs)]
-    return runner.execute(spec, requests)
+    return runner.execute(spec, [{"seed": i} for i in range(runs)])
 
 
 class TestCacheHits:
     def test_second_run_is_all_hits(self, tmp_path):
         CALLS.clear()
-        spec = spec_from_experiment(counting_experiment)
+        spec = ExperimentSpec("counting_experiment", counting_experiment)
         cache = ResultCache(str(tmp_path))
         first = _run(spec, 4, cache)
         assert first.cache_hits == 0 and first.cache_misses == 4
@@ -42,7 +43,7 @@ class TestCacheHits:
 
     def test_persists_across_cache_instances(self, tmp_path):
         CALLS.clear()
-        spec = spec_from_experiment(counting_experiment)
+        spec = ExperimentSpec("counting_experiment", counting_experiment)
         _run(spec, 3, ResultCache(str(tmp_path)))
         outcome = _run(spec, 3, ResultCache(str(tmp_path)))
         assert outcome.cache_hits == 3
@@ -50,7 +51,7 @@ class TestCacheHits:
 
     def test_grid_extension_only_runs_new_cells(self, tmp_path):
         CALLS.clear()
-        spec = spec_from_experiment(counting_experiment)
+        spec = ExperimentSpec("counting_experiment", counting_experiment)
         cache = ResultCache(str(tmp_path))
         _run(spec, 3, cache)
         outcome = _run(spec, 5, cache)
@@ -61,8 +62,8 @@ class TestCacheHits:
 class TestInvalidation:
     def test_code_change_starts_fresh_file(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        a = spec_from_experiment(counting_experiment, name="same")
-        b = spec_from_experiment(edited_experiment, name="same")
+        a = ExperimentSpec("same", counting_experiment)
+        b = ExperimentSpec("same", edited_experiment)
         _run(a, 2, cache)
         outcome = _run(b, 2, cache)
         assert outcome.cache_misses == 2  # no stale metrics served
@@ -77,7 +78,7 @@ class TestInvalidation:
 
 class TestRobustness:
     def test_torn_final_line_is_skipped(self, tmp_path):
-        spec = spec_from_experiment(counting_experiment)
+        spec = ExperimentSpec("counting_experiment", counting_experiment)
         cache = ResultCache(str(tmp_path))
         _run(spec, 2, cache)
         path = cache.path_for(spec)
@@ -88,7 +89,7 @@ class TestRobustness:
         assert outcome.cache_hits == 2
 
     def test_failures_are_never_cached(self, tmp_path):
-        spec = spec_from_experiment(_always_fails)
+        spec = ExperimentSpec("_always_fails", _always_fails)
         cache = ResultCache(str(tmp_path))
         outcome = _run(spec, 2, cache)
         assert len(outcome.failures) == 2
@@ -96,7 +97,7 @@ class TestRobustness:
         assert not os.path.exists(path) or not open(path).read().strip()
 
     def test_records_preserve_metric_order(self, tmp_path):
-        spec = spec_from_experiment(_multi_metric)
+        spec = ExperimentSpec("_multi_metric", _multi_metric)
         cache = ResultCache(str(tmp_path))
         _run(spec, 1, cache)
         line = open(cache.path_for(spec)).readline()
@@ -104,18 +105,18 @@ class TestRobustness:
         assert list(metrics) == ["zebra", "alpha", "mid"]
 
 
-def _always_fails(seed):
+def _always_fails(params):
     raise RuntimeError("nope")
 
 
-def _multi_metric(seed):
+def _multi_metric(params):
     return {"zebra": 1, "alpha": 2, "mid": 3}
 
 
 def _store_batch(args):
     """Worker: append a disjoint batch of entries to the shared cache."""
     root, offset, count = args
-    spec = spec_from_experiment(counting_experiment, name="shared")
+    spec = ExperimentSpec("shared", counting_experiment)
     cache = ResultCache(root)
     for seed in range(offset, offset + count):
         cache.store(spec, {"seed": seed}, {"value": seed * 10})
@@ -141,7 +142,7 @@ class TestMultiprocessWriters:
             written = sum(pool.map(_store_batch, batches))
         assert written == 100
 
-        spec = spec_from_experiment(counting_experiment, name="shared")
+        spec = ExperimentSpec("shared", counting_experiment)
         fresh = ResultCache(str(tmp_path))
         for seed in range(100):
             record = fresh.lookup(spec, {"seed": seed})
@@ -156,7 +157,7 @@ class TestMultiprocessWriters:
                    for offset in range(0, 20, 10)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
             list(pool.map(_store_batch, batches))
-        spec = spec_from_experiment(counting_experiment, name="shared")
+        spec = ExperimentSpec("shared", counting_experiment)
         cache = ResultCache(str(tmp_path))
         with open(cache.path_for(spec), "a") as handle:
             handle.write('{"key": "torn-by-a-crash')
@@ -168,7 +169,7 @@ class TestMultiprocessWriters:
 class TestBoundedGrowth:
     def _fill(self, cache, names, runs=2):
         for stamp, name in enumerate(names):
-            spec = spec_from_experiment(counting_experiment, name=name)
+            spec = ExperimentSpec(name, counting_experiment)
             _run(spec, runs, cache)
             # Deterministic LRU order regardless of filesystem timestamp
             # granularity: age each file explicitly.
@@ -183,7 +184,7 @@ class TestBoundedGrowth:
     def test_lru_files_pruned_beyond_max_entries(self, tmp_path):
         cache = ResultCache(str(tmp_path), max_entries=4)
         self._fill(cache, ["old", "mid"])  # 4 entries: at the bound
-        spec = spec_from_experiment(counting_experiment, name="new")
+        spec = ExperimentSpec("new", counting_experiment)
         _run(spec, 2, cache)  # 6 entries: evict the oldest file
         assert cache.pruned_files == 1
         names = os.listdir(tmp_path)
@@ -193,12 +194,12 @@ class TestBoundedGrowth:
 
     def test_lookup_touch_protects_hot_files(self, tmp_path):
         cache = ResultCache(str(tmp_path), max_entries=4)
-        old = spec_from_experiment(counting_experiment, name="old")
-        mid = spec_from_experiment(counting_experiment, name="mid")
+        old = ExperimentSpec("old", counting_experiment)
+        mid = ExperimentSpec("mid", counting_experiment)
         self._fill(cache, ["old", "mid"])
         # A hit on "old" refreshes its mtime, making "mid" the LRU file.
         assert cache.lookup(old, {"seed": 0}) is not None
-        _run(spec_from_experiment(counting_experiment, name="new"), 2, cache)
+        _run(ExperimentSpec("new", counting_experiment), 2, cache)
         names = os.listdir(tmp_path)
         assert any(name.startswith("old-") for name in names)
         assert not any(name.startswith("mid-") for name in names)
@@ -207,7 +208,7 @@ class TestBoundedGrowth:
 
     def test_just_written_file_is_never_evicted(self, tmp_path):
         cache = ResultCache(str(tmp_path), max_entries=1)
-        spec = spec_from_experiment(counting_experiment, name="solo")
+        spec = ExperimentSpec("solo", counting_experiment)
         _run(spec, 5, cache)  # five entries in one file: over the bound
         assert cache.pruned_files == 0
         assert cache.lookup(spec, {"seed": 0}) is not None
@@ -216,9 +217,9 @@ class TestBoundedGrowth:
         cache = ResultCache(str(tmp_path), max_entries=2)
         self._fill(cache, ["a", "b", "c"])
         hits0, misses0 = cache.hits, cache.misses
-        spec_a = spec_from_experiment(counting_experiment, name="a")
+        spec_a = ExperimentSpec("a", counting_experiment)
         assert cache.lookup(spec_a, {"seed": 0}) is None  # pruned: a miss
-        spec_c = spec_from_experiment(counting_experiment, name="c")
+        spec_c = ExperimentSpec("c", counting_experiment)
         assert cache.lookup(spec_c, {"seed": 0}) is not None
         assert (cache.hits, cache.misses) == (hits0 + 1, misses0 + 1)
 

@@ -104,12 +104,6 @@ class TestMonteCarloParallel:
             assert pickle.dumps(values) == pickle.dumps(reference)
             assert campaign.runs == 6
 
-    def test_on_run_fires_in_seed_order(self):
-        seen = []
-        monte_carlo(simulation_experiment, runs=4, workers=2,
-                    on_run=lambda seed, m: seen.append(seed))
-        assert seen == [0, 1, 2, 3]
-
     def test_cached_rerun_identical(self, tmp_path):
         cold = monte_carlo(simulation_experiment, runs=4,
                            workers=2, cache=str(tmp_path))
@@ -147,12 +141,6 @@ class TestExploreParallel:
             results = explore(GRID, grid_build, grid_metrics,
                               workers=workers)
             assert repr(self._flatten(results)) == reference
-
-    def test_on_point_fires_in_config_order(self):
-        seen = []
-        explore(GRID, grid_build, grid_metrics, workers=2,
-                on_point=lambda r: seen.append(r.config))
-        assert seen == configurations(GRID)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_strict_raises_with_failure_details(self, workers):

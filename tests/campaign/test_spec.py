@@ -1,50 +1,29 @@
-"""Tests for experiment specs, seed derivation and fingerprints."""
+"""Tests for experiment specs and fingerprints."""
 
 import functools
 import pickle
 
 import pytest
 
-from repro.campaign import (
-    ExperimentSpec,
-    RunRequest,
-    callable_fingerprint,
-    canonical_json,
-    derive_seed,
-    spec_from_design,
-    spec_from_experiment,
-)
+from repro.analysis.dse import _design_point
+from repro.campaign import ExperimentSpec, callable_fingerprint, canonical_json
 from repro.errors import CampaignError
 
 
-def tiny_experiment(seed):
-    return {"value": seed * 2}
+def tiny_experiment(params):
+    return {"value": params["seed"] * 2}
 
 
-def other_experiment(seed):
-    return {"value": seed * 3}
-
-
-class TestSeeds:
-    def test_derive_seed_is_linear(self):
-        assert derive_seed(100, 0) == 100
-        assert derive_seed(100, 7) == 107
-
-    def test_spec_seed_for_uses_base_seed(self):
-        spec = spec_from_experiment(tiny_experiment, base_seed=40)
-        assert spec.seed_for(2) == 42
-        request = spec.request(2, seeded=True)
-        assert request.params["seed"] == 42
-        assert request.index == 2
+def other_experiment(params):
+    return {"value": params["seed"] * 3}
 
 
 class TestExecution:
-    def test_spec_from_experiment_executes(self):
-        spec = spec_from_experiment(tiny_experiment)
-        metrics = spec.execute(spec.request(3, seeded=True))
-        assert metrics == {"value": 6}
+    def test_run_is_the_whole_experiment(self):
+        spec = ExperimentSpec("tiny", tiny_experiment)
+        assert spec.run({"seed": 3}) == {"value": 6}
 
-    def test_spec_from_design_records_sim_now(self):
+    def test_design_point_records_simulated_time(self):
         class FakeSystem:
             now = 123
 
@@ -60,28 +39,20 @@ class TestExecution:
         def metrics(config, system):
             return {"end": system.now, "cfg": config["x"]}
 
-        spec = spec_from_design(build, metrics)
-        request = RunRequest(index=0, params={"x": 5, "__duration__": None})
-        result = spec.execute(request)
-        assert result["__sim_now__"] == 123
-        assert result["end"] == 123
-        assert result["cfg"] == 5
+        result = _design_point(build, metrics, None, {"x": 5})
+        assert result == {"metrics": {"end": 123, "cfg": 5},
+                          "simulated_time": 123}
 
 
 class TestFingerprint:
     def test_stable_for_same_spec(self):
-        a = spec_from_experiment(tiny_experiment)
-        b = spec_from_experiment(tiny_experiment)
+        a = ExperimentSpec("tiny", tiny_experiment)
+        b = ExperimentSpec("tiny", tiny_experiment)
         assert a.fingerprint() == b.fingerprint()
 
     def test_changes_with_code(self):
-        a = spec_from_experiment(tiny_experiment)
-        b = spec_from_experiment(other_experiment)
-        assert a.fingerprint() != b.fingerprint()
-
-    def test_changes_with_base_seed(self):
-        a = spec_from_experiment(tiny_experiment, base_seed=0)
-        b = spec_from_experiment(tiny_experiment, base_seed=1)
+        a = ExperimentSpec("tiny", tiny_experiment)
+        b = ExperimentSpec("tiny", other_experiment)
         assert a.fingerprint() != b.fingerprint()
 
     def test_partial_arguments_fingerprinted(self):
@@ -102,28 +73,15 @@ class TestCanonicalJson:
 
 class TestPicklability:
     def test_experiment_spec_round_trips(self):
-        spec = spec_from_experiment(tiny_experiment, base_seed=5)
+        spec = ExperimentSpec("tiny", tiny_experiment)
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.execute(clone.request(1, seeded=True)) == {"value": 12}
+        assert clone.run({"seed": 6}) == {"value": 12}
 
     def test_parameterized_spec_round_trips(self):
-        spec = ExperimentSpec(
-            name="param",
-            build=functools.partial(_scaled_build, factor=3),
-            metrics=_scaled_metrics,
-            run=_no_op_run,
-        )
+        spec = ExperimentSpec("param", functools.partial(_scaled, factor=3))
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.execute(RunRequest(0, {"x": 2})) == {"y": 6}
+        assert clone.run({"x": 2}) == {"y": 6}
 
 
-def _scaled_build(params, *, factor):
-    return params["x"] * factor
-
-
-def _no_op_run(params, state):
-    pass
-
-
-def _scaled_metrics(params, state):
-    return {"y": state}
+def _scaled(params, *, factor):
+    return {"y": params["x"] * factor}

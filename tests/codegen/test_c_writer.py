@@ -161,6 +161,37 @@ class TestGeneration:
                                  "flags relations"):
             generate_c(spec)
 
+    def test_personality_spec_emits_its_lowered_tasks(self):
+        spec = {
+            "name": "pc",
+            "personality": "freertos",
+            "objects": [{"kind": "queue", "name": "q", "length": 2}],
+            "tasks": [
+                {"name": "prod", "priority": 2, "script": [
+                    ["loop", None, [["execute", "10us"],
+                                    ["xQueueSend", "q", 1],
+                                    ["vTaskDelay", "1ms"]]]]},
+                {"name": "cons", "priority": 1, "script": [
+                    ["loop", None, [["xQueueReceive", "q"],
+                                    ["execute", "5us"]]]]},
+            ],
+        }
+        app = generate_c(spec)["app.c"]
+        assert 'q = rtos_queue_create("q", 2);' in app
+        for name in ("prod", "cons"):
+            assert f"static void task_{name}(void *arg)" in app
+        assert "rtos_queue_send(q, 1);" in app
+        assert "(void)rtos_queue_recv(q);" in app
+        assert "rtos_delay_us(1000);" in app
+
+    def test_timed_personality_op_is_rejected(self):
+        from repro.corpus import generate
+
+        with pytest.raises(BuildError, match="^" + re.escape(
+                "function 'producer0': script[0][1]: the generated C API "
+                "has no write with a timeout (5ms)")):
+            generate_c(generate("freertos", 0))
+
     def test_write_to_directory(self, tmp_path):
         paths = generate_c(fig6_spec(), str(tmp_path))
         assert len(paths) == 3

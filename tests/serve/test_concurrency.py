@@ -9,7 +9,6 @@ without re-simulating (visible on the ``/metrics`` counters).
 import json
 import threading
 
-from repro.campaign.spec import RunRequest
 from repro.serve import Gateway
 from repro.serve.jobs import SIMULATE_SPEC
 from repro.workloads.fig6 import fig6_spec
@@ -20,10 +19,10 @@ from .conftest import Client
 def expected_simulate_body(params: dict) -> bytes:
     """The exact bytes the gateway must answer for ``params``.
 
-    ``SIMULATE_SPEC.execute`` *is* the direct run -- build_system +
+    ``SIMULATE_SPEC.run`` *is* the direct run -- build_system +
     Simulator + TraceRecorder in this process, no HTTP involved.
     """
-    result = SIMULATE_SPEC.execute(RunRequest(index=0, params=params))
+    result = SIMULATE_SPEC.run(params)
     key = SIMULATE_SPEC.fingerprint()
     from repro.campaign.cache import run_key
 
