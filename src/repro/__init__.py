@@ -22,27 +22,17 @@ The most common names are re-exported here for quick starts::
     from repro import MS, System, TraceRecorder, US
 """
 
+from ._exports import lazy_exports
+
 __version__ = "1.0.0"
 
-from .kernel import Simulator
-from .kernel.time import FS, MS, NS, PS, SEC, US, format_time, parse_time
-from .mcse import Function, System, build_system
-from .trace import TimelineChart, TraceRecorder
-
-__all__ = [
-    "FS",
-    "Function",
-    "MS",
-    "NS",
-    "PS",
-    "SEC",
-    "Simulator",
-    "System",
-    "TimelineChart",
-    "TraceRecorder",
-    "US",
-    "__version__",
-    "build_system",
-    "format_time",
-    "parse_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "kernel.simulator": ("Simulator",),
+    "kernel.time": ("FS", "MS", "NS", "PS", "SEC", "US", "format_time",
+                    "parse_time"),
+    "mcse.builder": ("build_system",),
+    "mcse.function": ("Function",),
+    "mcse.model": ("System",),
+    "trace.recorder": ("TraceRecorder",),
+    "trace.timeline": ("TimelineChart",),
+}, own=("__version__",))

@@ -1,82 +1,22 @@
 """Analysis on simulated traces: measurements, constraints, RTA."""
 
-from .montecarlo import Campaign, MetricSample, format_campaign, monte_carlo
-from .dse import (
-    ExplorationResult,
-    Parameter,
-    configurations,
-    explore,
-    pareto_front,
-    tabulate,
-)
-from .constraints import (
-    Constraint,
-    ConstraintSet,
-    DeadlineConstraint,
-    JitterConstraint,
-    PrecedenceConstraint,
-    ReactionConstraint,
-    ThroughputConstraint,
-    Violation,
-)
-from .measurements import (
-    Interval,
-    ascii_histogram,
-    blocking_intervals,
-    latency_summary,
-    percentile,
-    reaction_latencies,
-    response_times,
-    running_starts,
-    state_intervals,
-    stimulus_times,
-    switch_sequences,
-)
-from .response_time import (
-    PeriodicTask,
-    breakdown_utilization,
-    is_schedulable,
-    liu_layland_bound,
-    rate_monotonic_priorities,
-    response_time_analysis,
-    total_utilization,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "Constraint",
-    "MetricSample",
-    "format_campaign",
-    "monte_carlo",
-    "ConstraintSet",
-    "DeadlineConstraint",
-    "ExplorationResult",
-    "Interval",
-    "Parameter",
-    "PrecedenceConstraint",
-    "ThroughputConstraint",
-    "configurations",
-    "explore",
-    "pareto_front",
-    "tabulate",
-    "JitterConstraint",
-    "PeriodicTask",
-    "ReactionConstraint",
-    "Violation",
-    "ascii_histogram",
-    "blocking_intervals",
-    "breakdown_utilization",
-    "is_schedulable",
-    "latency_summary",
-    "percentile",
-    "liu_layland_bound",
-    "rate_monotonic_priorities",
-    "reaction_latencies",
-    "response_time_analysis",
-    "response_times",
-    "running_starts",
-    "state_intervals",
-    "stimulus_times",
-    "switch_sequences",
-    "total_utilization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "constraints": ("Constraint", "ConstraintSet", "DeadlineConstraint",
+                    "JitterConstraint", "PrecedenceConstraint",
+                    "ReactionConstraint", "ThroughputConstraint",
+                    "Violation"),
+    "dse": ("ExplorationResult", "Parameter", "configurations", "explore",
+            "pareto_front", "tabulate"),
+    "measurements": ("Interval", "ascii_histogram", "blocking_intervals",
+                     "latency_summary", "percentile", "reaction_latencies",
+                     "response_times", "running_starts", "state_intervals",
+                     "stimulus_times", "switch_sequences"),
+    "montecarlo": ("Campaign", "MetricSample", "format_campaign",
+                   "monte_carlo"),
+    "response_time": ("PeriodicTask", "breakdown_utilization",
+                      "is_schedulable", "liu_layland_bound",
+                      "rate_monotonic_priorities",
+                      "response_time_analysis", "total_utilization"),
+})

@@ -119,7 +119,8 @@ def explore(
     """
     configs = configurations(space)
 
-    from ..campaign import ExperimentSpec, Runner
+    from ..campaign.runner import Runner
+    from ..campaign.spec import ExperimentSpec
 
     spec = ExperimentSpec(
         "explore", functools.partial(_design_point, build, metrics, duration))

@@ -117,7 +117,8 @@ def monte_carlo(
     if runs < 1:
         raise ReproError(f"need at least one run, got {runs}")
 
-    from ..campaign import ExperimentSpec, Runner
+    from ..campaign.runner import Runner
+    from ..campaign.spec import ExperimentSpec
 
     spec = ExperimentSpec(getattr(experiment, "__name__", "experiment"),
                           functools.partial(_seeded, experiment))

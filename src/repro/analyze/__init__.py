@@ -35,51 +35,21 @@ All of them report through one :class:`Diagnostic` pipeline; the
 rule catalogue lives in ``docs/analysis.md``.
 """
 
-from .assign import check_assignment, suggest_priorities
-from .blocking import (
-    BlockingModel,
-    BlockingTerm,
-    CriticalSection,
-    check_blocking,
-    critical_sections,
-)
-from .code import analyze_source
-from .diagnostics import RULES, Diagnostic, Report, Severity, explain_rule
-from .effects import TaskEffects, task_effects
-from .fixes import apply_fixes, plan_fixes
-from .flow import TaskFlow, analyze_flows, analyze_task, check_flow
-from .model import analyze_processors, analyze_system
-from .personality import check_personality
-from .sanitize import Sanitizer
-from .sarif import report_to_sarif
-from .schedulability import periodic_profile
+from .._exports import lazy_exports
 
-__all__ = [
-    "RULES",
-    "BlockingModel",
-    "BlockingTerm",
-    "CriticalSection",
-    "Diagnostic",
-    "Report",
-    "Sanitizer",
-    "Severity",
-    "TaskEffects",
-    "TaskFlow",
-    "analyze_flows",
-    "analyze_processors",
-    "analyze_source",
-    "analyze_system",
-    "analyze_task",
-    "apply_fixes",
-    "check_assignment",
-    "check_blocking",
-    "check_flow",
-    "check_personality",
-    "critical_sections",
-    "explain_rule",
-    "periodic_profile",
-    "plan_fixes",
-    "report_to_sarif",
-    "suggest_priorities",
-    "task_effects",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "assign": ("check_assignment", "suggest_priorities"),
+    "blocking": ("BlockingModel", "BlockingTerm", "CriticalSection",
+                 "check_blocking", "critical_sections"),
+    "code": ("analyze_source",),
+    "diagnostics": ("RULES", "Diagnostic", "Report", "Severity",
+                    "explain_rule"),
+    "effects": ("TaskEffects", "task_effects"),
+    "fixes": ("apply_fixes", "plan_fixes"),
+    "flow": ("TaskFlow", "analyze_flows", "analyze_task", "check_flow"),
+    "model": ("analyze_processors", "analyze_system"),
+    "personality": ("check_personality",),
+    "sanitize": ("Sanitizer",),
+    "sarif": ("report_to_sarif",),
+    "schedulability": ("periodic_profile",),
+})

@@ -18,9 +18,10 @@ comments) drops matching diagnostics before they are rendered.
 from __future__ import annotations
 
 import enum
+import importlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 
 class Severity(enum.Enum):
@@ -44,22 +45,69 @@ class Severity(enum.Enum):
         return {"error": 2, "warning": 1, "info": 0}[self.value]
 
 
-#: Registry of every documented rule id -> one-line description.
-#: Populated by the analyzer modules at import time via :func:`rule`;
+#: The modules that declare rules through :func:`rule` at import time.
+#: Reading :data:`RULES` or :data:`EXPLANATIONS` imports them all first,
+#: so the catalogue is complete whatever the caller imported.
+RULE_MODULES = (
+    "repro.analyze.assign",
+    "repro.analyze.blocking",
+    "repro.analyze.code",
+    "repro.analyze.flow",
+    "repro.analyze.model",
+    "repro.analyze.personality",
+    "repro.analyze.sanitize",
+    "repro.verify.properties",
+)
+
+_summaries: Dict[str, str] = {}
+_explanations: Dict[str, str] = {}
+_declared = False
+
+
+class _Catalogue(Mapping[str, str]):
+    """Rule id -> text, read-only, complete whatever was imported.
+
+    The first read imports every :data:`RULE_MODULES` entry.
+    """
+
+    def __init__(self, table: Dict[str, str]) -> None:
+        self._table = table
+
+    def _complete(self) -> Dict[str, str]:
+        global _declared
+        if not _declared:
+            # set only once every import returned: a concurrent reader
+            # waits on the import locks instead of seeing a partial table
+            for name in RULE_MODULES:
+                importlib.import_module(name)
+            _declared = True
+        return self._table
+
+    def __getitem__(self, rule_id: str) -> str:
+        return self._complete()[rule_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._complete())
+
+    def __len__(self) -> int:
+        return len(self._complete())
+
+
+#: Registry of every documented rule id -> one-line description;
 #: ``docs/analysis.md`` is the human-facing version of this table.
-RULES: Dict[str, str] = {}
+RULES: Mapping[str, str] = _Catalogue(_summaries)
 
 #: Optional long-form explanations (rendered by ``pyrtos-sc lint
 #: --explain RULE``): what the rule detects, why it matters, how to fix.
-EXPLANATIONS: Dict[str, str] = {}
+EXPLANATIONS: Mapping[str, str] = _Catalogue(_explanations)
 
 
 def rule(rule_id: str, summary: str, *,
          explain: Optional[str] = None) -> str:
     """Register ``rule_id`` in the catalogue and return it."""
-    RULES[rule_id] = summary
+    _summaries[rule_id] = summary
     if explain is not None:
-        EXPLANATIONS[rule_id] = explain
+        _explanations[rule_id] = explain
     return rule_id
 
 

@@ -1,12 +1,9 @@
 """Comparison baselines: the untimed functional model and the
 quantum-limited preemption model the paper positions itself against."""
 
-from .quantum import QuantumContext, QuantumProcessor
-from .untimed import build_untimed, strip_mapping
+from .._exports import lazy_exports
 
-__all__ = [
-    "QuantumContext",
-    "QuantumProcessor",
-    "build_untimed",
-    "strip_mapping",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "quantum": ("QuantumContext", "QuantumProcessor"),
+    "untimed": ("build_untimed", "strip_mapping"),
+})

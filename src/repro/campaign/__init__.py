@@ -20,24 +20,13 @@ The high-level drivers :func:`repro.analysis.monte_carlo` and
 return; see ``docs/campaigns.md`` for semantics and guarantees.
 """
 
-from .cache import DEFAULT_CACHE_ROOT, ResultCache, resolve_cache, run_key
-from .experiments import mpeg2_experiment
-from .progress import ProgressReporter
-from .runner import CampaignResult, RunFailure, RunResult, Runner
-from .spec import ExperimentSpec, callable_fingerprint, canonical_json
+from .._exports import lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "DEFAULT_CACHE_ROOT",
-    "ExperimentSpec",
-    "ProgressReporter",
-    "ResultCache",
-    "RunFailure",
-    "RunResult",
-    "Runner",
-    "callable_fingerprint",
-    "canonical_json",
-    "mpeg2_experiment",
-    "resolve_cache",
-    "run_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": ("DEFAULT_CACHE_ROOT", "ResultCache", "resolve_cache",
+              "run_key"),
+    "experiments": ("mpeg2_experiment",),
+    "progress": ("ProgressReporter",),
+    "runner": ("CampaignResult", "RunFailure", "RunResult", "Runner"),
+    "spec": ("ExperimentSpec", "callable_fingerprint", "canonical_json"),
+})

@@ -27,9 +27,6 @@ from .trace.statistics import (
     relation_stats,
     task_stats_from_functions,
 )
-from .trace.svg import save_svg
-from .trace.timeline import TimelineChart
-from .trace.vcd import save_vcd
 
 
 def _emit_json(payload, destination=None) -> str:
@@ -70,8 +67,11 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit_outputs(args, system, recorder) -> None:
-    needs_chart = args.timeline or args.svg
-    chart = TimelineChart.from_recorder(recorder) if needs_chart else None
+    chart = None
+    if args.timeline or args.svg:
+        from .trace.timeline import TimelineChart
+
+        chart = TimelineChart.from_recorder(recorder)
     if args.timeline:
         print(chart.render_ascii(width=args.width))
     if args.stats:
@@ -84,9 +84,13 @@ def _emit_outputs(args, system, recorder) -> None:
             )
         )
     if args.svg:
+        from .trace.svg import save_svg
+
         save_svg(chart, args.svg, title=system.name)
         print(f"wrote {args.svg}")
     if args.vcd:
+        from .trace.vcd import save_vcd
+
         save_vcd(recorder, args.vcd)
         print(f"wrote {args.vcd}")
     if args.jsonl:
@@ -144,6 +148,9 @@ def cmd_mpeg2(args) -> int:
 def cmd_report(args) -> int:
     """Offline analysis of a saved JSONL trace (no model needed)."""
     from .trace.statistics import task_stats_from_records
+    from .trace.svg import save_svg
+    from .trace.timeline import TimelineChart
+    from .trace.vcd import save_vcd
 
     recorder = TraceRecorder.load_jsonl(args.trace)
     print(f"loaded {len(recorder)} records, "

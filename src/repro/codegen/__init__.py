@@ -1,12 +1,8 @@
 """Software generation from validated models (the paper's §6 future work)."""
 
-from .api import RTOS_API_H, RTOS_PORT_POSIX_C
-from .c_writer import CWriter, c_identifier, generate_c
+from .._exports import lazy_exports
 
-__all__ = [
-    "CWriter",
-    "RTOS_API_H",
-    "RTOS_PORT_POSIX_C",
-    "c_identifier",
-    "generate_c",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "api": ("RTOS_API_H", "RTOS_PORT_POSIX_C"),
+    "c_writer": ("CWriter", "c_identifier", "generate_c"),
+})

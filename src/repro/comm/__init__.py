@@ -6,7 +6,9 @@ setup and per-byte costs, so communication contention shows up in the
 simulated timing like every other platform effect.
 """
 
-from .bus import Bus, Transfer
-from .remote import RemoteQueue
+from .._exports import lazy_exports
 
-__all__ = ["Bus", "RemoteQueue", "Transfer"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bus": ("Bus", "Transfer"),
+    "remote": ("RemoteQueue",),
+})

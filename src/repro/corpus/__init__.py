@@ -15,7 +15,7 @@ thin base with a *scenario stream* every subsystem can drink from:
   (``pyrtos-sc batch-run``);
 * :mod:`~repro.corpus.compare` -- audit diffs between two matrix runs
   (``pyrtos-sc compare``);
-* :mod:`~repro.corpus.fuzz` -- the fuzz loop feeding generated
+* :mod:`~repro.corpus.fuzzer` -- the fuzz loop feeding generated
   scenarios through the pipeline, shrinking findings via the verifier's
   counterexample minimizer and freezing them as regression seeds
   (``pyrtos-sc fuzz``);
@@ -28,83 +28,20 @@ seed, and seed files embed the spec they were found with -- so every
 finding is reproducible byte-for-byte, forever.
 """
 
-from .compare import compare_reports, format_comparison, load_report
-from .fuzz import DEFAULT_HORIZON, FuzzFinding, FuzzReport, fuzz
-from .generators import (
-    AUTOMOTIVE_PERIODS_US,
-    GENERATORS,
-    Generator,
-    dag_edges,
-    gen_bursty,
-    gen_contention,
-    gen_dag,
-    gen_partitioned,
-    gen_periodic,
-    generate,
-    spec_digest,
-)
-from .matrix import (
-    cell_key,
-    expand_matrix,
-    load_matrix,
-    run_cell,
-    run_matrix,
-    validate_matrix,
-)
-from .pipeline import (
-    PipelineOptions,
-    run_pipeline,
-    verdict_digest,
-    violated_properties,
-)
-from .seeds import (
-    SEED_FORMAT,
-    check_seed,
-    iter_seed_paths,
-    load_corpus,
-    load_seed,
-    make_seed_record,
-    replay_seed,
-    seed_signature,
-    write_seed,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AUTOMOTIVE_PERIODS_US",
-    "DEFAULT_HORIZON",
-    "FuzzFinding",
-    "FuzzReport",
-    "GENERATORS",
-    "Generator",
-    "PipelineOptions",
-    "SEED_FORMAT",
-    "cell_key",
-    "check_seed",
-    "compare_reports",
-    "dag_edges",
-    "expand_matrix",
-    "format_comparison",
-    "fuzz",
-    "gen_bursty",
-    "gen_contention",
-    "gen_dag",
-    "gen_partitioned",
-    "gen_periodic",
-    "generate",
-    "iter_seed_paths",
-    "load_corpus",
-    "load_matrix",
-    "load_report",
-    "load_seed",
-    "make_seed_record",
-    "replay_seed",
-    "run_cell",
-    "run_matrix",
-    "run_pipeline",
-    "seed_signature",
-    "spec_digest",
-    "validate_matrix",
-    "verdict_digest",
-    "violated_properties",
-    "write_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "compare": ("compare_reports", "format_comparison", "load_report"),
+    "fuzzer": ("DEFAULT_HORIZON", "FuzzFinding", "FuzzReport", "fuzz"),
+    "generators": ("AUTOMOTIVE_PERIODS_US", "GENERATORS", "Generator",
+                   "dag_edges", "gen_bursty", "gen_contention", "gen_dag",
+                   "gen_partitioned", "gen_periodic", "generate",
+                   "spec_digest"),
+    "matrix": ("cell_key", "expand_matrix", "load_matrix", "run_cell",
+               "run_matrix", "validate_matrix"),
+    "pipeline": ("PipelineOptions", "run_pipeline", "verdict_digest",
+                 "violated_properties"),
+    "seeds": ("SEED_FORMAT", "check_seed", "iter_seed_paths",
+              "load_corpus", "load_seed", "make_seed_record",
+              "replay_seed", "seed_signature", "write_seed"),
+})

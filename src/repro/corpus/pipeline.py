@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..analyze import analyze_system
+from ..analyze.model import analyze_system
 from ..campaign.spec import canonical_json
 from ..errors import ReproError
 from ..kernel.simulator import Simulator

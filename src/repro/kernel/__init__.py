@@ -12,57 +12,18 @@ Quick tour::
     from repro.kernel.time import US
 """
 
-from .channels import EventQueue, Fifo, Mutex, Semaphore, Signal
-from .clock import Clock, TickClock
-from .event import Event
-from .module import Module
-from .process import (
-    MethodProcess,
-    Process,
-    ProcessState,
-    WaitEvents,
-    WaitRequest,
-    WaitTime,
-    delta,
-    wait_all,
-    wait_any,
-    wait_for,
-    wait_on,
-)
-from .scheduler import KernelCore
-from .simulator import Simulator
-from .time import FS, MS, NS, PS, SEC, US, Time, format_time, parse_time
+from .._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "Event",
-    "EventQueue",
-    "Fifo",
-    "FS",
-    "KernelCore",
-    "MethodProcess",
-    "Module",
-    "MS",
-    "Mutex",
-    "NS",
-    "Process",
-    "ProcessState",
-    "PS",
-    "SEC",
-    "Semaphore",
-    "Signal",
-    "Simulator",
-    "TickClock",
-    "Time",
-    "US",
-    "WaitEvents",
-    "WaitRequest",
-    "WaitTime",
-    "delta",
-    "format_time",
-    "parse_time",
-    "wait_all",
-    "wait_any",
-    "wait_for",
-    "wait_on",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "channels": ("EventQueue", "Fifo", "Mutex", "Semaphore", "Signal"),
+    "clock": ("Clock", "TickClock"),
+    "event": ("Event",),
+    "module": ("Module",),
+    "process": ("MethodProcess", "Process", "ProcessState", "WaitEvents",
+                "WaitRequest", "WaitTime", "delta", "wait_all", "wait_any",
+                "wait_for", "wait_on"),
+    "scheduler": ("KernelCore",),
+    "simulator": ("Simulator",),
+    "time": ("FS", "MS", "NS", "PS", "SEC", "US", "Time", "format_time",
+             "parse_time"),
+})

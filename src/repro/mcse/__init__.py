@@ -12,29 +12,16 @@ The model is platform-independent: map functions onto RTOS processors
 (:mod:`repro.rtos`) or leave them as concurrent hardware.
 """
 
-from .builder import build_system
-from .context import HARDWARE_CONTEXT, ExecutionContext, HardwareContext
-from .events import BooleanEvent, CounterEvent, EventRelation, FugitiveEvent
-from .function import Function
-from .model import EVENT_POLICIES, System
-from .queues import MessageQueue
-from .relations import Relation, Waiter
-from .shared import SharedVariable
+from .._exports import lazy_exports
 
-__all__ = [
-    "BooleanEvent",
-    "CounterEvent",
-    "EVENT_POLICIES",
-    "EventRelation",
-    "ExecutionContext",
-    "FugitiveEvent",
-    "Function",
-    "HARDWARE_CONTEXT",
-    "HardwareContext",
-    "MessageQueue",
-    "Relation",
-    "SharedVariable",
-    "System",
-    "Waiter",
-    "build_system",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "builder": ("build_system",),
+    "context": ("HARDWARE_CONTEXT", "ExecutionContext", "HardwareContext"),
+    "events": ("BooleanEvent", "CounterEvent", "EventRelation",
+               "FugitiveEvent"),
+    "function": ("Function",),
+    "model": ("EVENT_POLICIES", "System"),
+    "queues": ("MessageQueue",),
+    "relations": ("Relation", "Waiter"),
+    "shared": ("SharedVariable",),
+})

@@ -160,7 +160,7 @@ class System:
         (``global`` / ``partitioned`` / ``clustered``), affinity and
         migration semantics.
         """
-        from ..smp import SchedulingDomain  # local import avoids a cycle
+        from ..smp.domain import SchedulingDomain  # local import avoids a cycle
 
         if name in self.domains:
             raise ModelError(f"duplicate scheduling domain name {name!r}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from .._exports import lazy_exports
 from ..errors import BuildError
 from .base import Lowering, Personality
 from .freertos import FreeRTOSPersonality
@@ -62,12 +63,8 @@ def lower_spec(spec: Dict) -> Lowering:
     return get_personality(name).lower(spec)
 
 
-__all__ = [
-    "Lowering",
-    "Personality",
-    "PERSONALITIES",
-    "FreeRTOSPersonality",
-    "UITRONPersonality",
-    "get_personality",
-    "lower_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": ("Lowering", "Personality"),
+    "freertos": ("FreeRTOSPersonality",),
+    "uitron": ("UITRONPersonality",),
+}, own=("PERSONALITIES", "get_personality", "lower_spec"))

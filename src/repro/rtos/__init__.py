@@ -11,33 +11,10 @@ Two interchangeable engines implement the model, mirroring the paper's
 RTOS-thread engine (§4.1).  ``make_processor`` selects one by name.
 """
 
+from .._exports import lazy_exports
 from ..errors import RTOSError
-from .interrupts import EventInterrupt, PeriodicInterrupt, attach_isr
-from .overheads import NO_OVERHEAD, Overheads
-from .policies import (
-    EDFPolicy,
-    FifoPolicy,
-    GlobalEDFPolicy,
-    GlobalRMPolicy,
-    LeastLaxityPolicy,
-    LotteryPolicy,
-    POLICIES,
-    PriorityPreemptivePolicy,
-    PriorityRoundRobinPolicy,
-    RateMonotonicPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
-from .partitions import TimePartitionPolicy
-from .procedural import ProceduralContext, ProceduralProcessor
-from .processor import ProcessorBase
-from .servers import AperiodicRequest, DeferrableServer, PollingServer
-from .services import CeilingSharedVariable, InheritanceSharedVariable
-from .states import ALLOWED_TRANSITIONS, check_transition
-from .tcb import Task
-from .threaded import ThreadedContext, ThreadedProcessor
-from .watchdog import DeadlineWatchdog
+from .procedural import ProceduralProcessor
+from .threaded import ThreadedProcessor
 
 #: Engine registry for ``make_processor`` and the declarative builder.
 ENGINES = {
@@ -65,40 +42,21 @@ def make_processor(sim, name, engine: str = "procedural", domain=None, **kwargs)
     return cpu
 
 
-__all__ = [
-    "ALLOWED_TRANSITIONS",
-    "AperiodicRequest",
-    "CeilingSharedVariable",
-    "DeadlineWatchdog",
-    "DeferrableServer",
-    "PollingServer",
-    "EDFPolicy",
-    "ENGINES",
-    "EventInterrupt",
-    "FifoPolicy",
-    "GlobalEDFPolicy",
-    "GlobalRMPolicy",
-    "InheritanceSharedVariable",
-    "LeastLaxityPolicy",
-    "LotteryPolicy",
-    "NO_OVERHEAD",
-    "Overheads",
-    "POLICIES",
-    "PeriodicInterrupt",
-    "PriorityPreemptivePolicy",
-    "PriorityRoundRobinPolicy",
-    "ProceduralContext",
-    "ProceduralProcessor",
-    "ProcessorBase",
-    "RateMonotonicPolicy",
-    "RoundRobinPolicy",
-    "SchedulingPolicy",
-    "Task",
-    "ThreadedContext",
-    "TimePartitionPolicy",
-    "ThreadedProcessor",
-    "attach_isr",
-    "check_transition",
-    "make_policy",
-    "make_processor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "interrupts": ("EventInterrupt", "PeriodicInterrupt", "attach_isr"),
+    "overheads": ("NO_OVERHEAD", "Overheads"),
+    "partitions": ("TimePartitionPolicy",),
+    "policies": ("EDFPolicy", "FifoPolicy", "GlobalEDFPolicy",
+                 "GlobalRMPolicy", "LeastLaxityPolicy", "LotteryPolicy",
+                 "POLICIES", "PriorityPreemptivePolicy",
+                 "PriorityRoundRobinPolicy", "RateMonotonicPolicy",
+                 "RoundRobinPolicy", "SchedulingPolicy", "make_policy"),
+    "procedural": ("ProceduralContext", "ProceduralProcessor"),
+    "processor": ("ProcessorBase",),
+    "servers": ("AperiodicRequest", "DeferrableServer", "PollingServer"),
+    "services": ("CeilingSharedVariable", "InheritanceSharedVariable"),
+    "states": ("ALLOWED_TRANSITIONS", "check_transition"),
+    "tcb": ("Task",),
+    "threaded": ("ThreadedContext", "ThreadedProcessor"),
+    "watchdog": ("DeadlineWatchdog",),
+}, own=("ENGINES", "make_processor"))

@@ -23,28 +23,13 @@ prior subsystem behind a network API:
 See ``docs/serving.md`` for the API reference and deployment notes.
 """
 
-from .app import Gateway
-from .jobs import CAMPAIGN_SPEC, SIMULATE_SPEC, Job, JobStore, UnknownJob
-from .metrics import Counter, Gauge, Registry, Summary
-from .queue import AdmissionQueue, QueueFull, RateLimited, TokenBucket
-from .workers import LintRejected, WorkerPool, validate_spec
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "CAMPAIGN_SPEC",
-    "Counter",
-    "Gauge",
-    "Gateway",
-    "Job",
-    "JobStore",
-    "LintRejected",
-    "QueueFull",
-    "RateLimited",
-    "Registry",
-    "SIMULATE_SPEC",
-    "Summary",
-    "TokenBucket",
-    "UnknownJob",
-    "WorkerPool",
-    "validate_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "app": ("Gateway",),
+    "jobs": ("CAMPAIGN_SPEC", "SIMULATE_SPEC", "Job", "JobStore",
+             "UnknownJob"),
+    "metrics": ("Counter", "Gauge", "Registry", "Summary"),
+    "queue": ("AdmissionQueue", "QueueFull", "RateLimited", "TokenBucket"),
+    "workers": ("LintRejected", "WorkerPool", "validate_spec"),
+})

@@ -102,9 +102,13 @@ def _campaign(params: Dict) -> Dict:
         base_seed=int(params.get("base_seed", 0)),
         strict=False,
     )
+    # wall-clock and rate are volatile; drop them so identical requests
+    # produce byte-identical results (as ``_verify`` does below)
+    stats = {key: value for key, value in campaign.stats.items()
+             if key not in ("wall_s", "runs_per_s")}
     return {
         "runs": campaign.runs,
-        "stats": campaign.stats,
+        "stats": stats,
         "metrics": {name: sample.summary()
                     for name, sample in campaign.items()},
         "failures": [f.describe() for f in campaign.failures],

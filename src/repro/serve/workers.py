@@ -47,7 +47,7 @@ def validate_spec(spec: Dict, *, strict: bool = True,
     the :func:`repro.analyze.analyze_system` report fails -- with
     ``strict=True`` (the server default) warnings are rejections too.
     """
-    from ..analyze import analyze_system
+    from ..analyze.model import analyze_system
     from ..mcse.builder import build_system
 
     try:

@@ -12,12 +12,9 @@ equal-urgency dispatch are verifier choice points (``place`` /
 way it explores single-core ties.
 """
 
-from .demo import smp_miss_spec, smp_tie_spec
-from .domain import DOMAIN_KINDS, SchedulingDomain
+from .._exports import lazy_exports
 
-__all__ = [
-    "DOMAIN_KINDS",
-    "SchedulingDomain",
-    "smp_miss_spec",
-    "smp_tie_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "demo": ("smp_miss_spec", "smp_tie_spec"),
+    "domain": ("DOMAIN_KINDS", "SchedulingDomain"),
+})

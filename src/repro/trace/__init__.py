@@ -6,65 +6,21 @@ The result-exploitation layer of the paper's §5: attach a
 or export to VCD for a waveform viewer.
 """
 
-from .records import (
-    AccessKind,
-    AccessRecord,
-    InterruptRecord,
-    MarkerRecord,
-    MigrationRecord,
-    OverheadKind,
-    OverheadRecord,
-    PreemptionRecord,
-    StateRecord,
-    TaskState,
-    TraceRecord,
-)
-from .diff import TraceDivergence, diff_traces, format_diff, traces_equal
-from .html import render_report, save_report
-from .recorder import TraceRecorder
-from .statistics import (
-    RelationStats,
-    TaskStats,
-    format_report,
-    relation_stats,
-    task_stats_from_functions,
-    task_stats_from_records,
-)
-from .svg import render_svg, save_svg
-from .timeline import Arrow, OverheadWindow, Segment, TimelineChart
-from .vcd import save_vcd, write_vcd
+from .._exports import lazy_exports
 
-__all__ = [
-    "AccessKind",
-    "AccessRecord",
-    "Arrow",
-    "InterruptRecord",
-    "MarkerRecord",
-    "MigrationRecord",
-    "OverheadKind",
-    "OverheadRecord",
-    "OverheadWindow",
-    "PreemptionRecord",
-    "RelationStats",
-    "Segment",
-    "StateRecord",
-    "TaskState",
-    "TaskStats",
-    "TimelineChart",
-    "TraceDivergence",
-    "TraceRecord",
-    "TraceRecorder",
-    "diff_traces",
-    "format_diff",
-    "traces_equal",
-    "format_report",
-    "relation_stats",
-    "render_report",
-    "render_svg",
-    "save_report",
-    "save_svg",
-    "save_vcd",
-    "task_stats_from_functions",
-    "task_stats_from_records",
-    "write_vcd",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "diff": ("TraceDivergence", "diff_traces", "format_diff",
+             "traces_equal"),
+    "html": ("render_report", "save_report"),
+    "recorder": ("TraceRecorder",),
+    "records": ("AccessKind", "AccessRecord", "InterruptRecord",
+                "MarkerRecord", "MigrationRecord", "OverheadKind",
+                "OverheadRecord", "PreemptionRecord", "StateRecord",
+                "TaskState", "TraceRecord"),
+    "statistics": ("RelationStats", "TaskStats", "format_report",
+                   "relation_stats", "task_stats_from_functions",
+                   "task_stats_from_records"),
+    "svg": ("render_svg", "save_svg"),
+    "timeline": ("Arrow", "OverheadWindow", "Segment", "TimelineChart"),
+    "vcd": ("save_vcd", "write_vcd"),
+})

@@ -9,7 +9,6 @@ a designer can archive or mail around.
 from __future__ import annotations
 
 from typing import Iterable, List, Optional
-from xml.sax.saxutils import escape
 
 from ..kernel.time import format_time
 from .recorder import TraceRecorder
@@ -19,7 +18,7 @@ from .statistics import (
     relation_stats,
     task_stats_from_functions,
 )
-from .svg import render_svg
+from .svg import escape, render_svg
 from .timeline import TimelineChart
 
 _STYLE = """
@@ -155,5 +154,7 @@ def render_report(
 
 def save_report(system, recorder: TraceRecorder, path: str, **kwargs) -> None:
     """Render and write the HTML report to ``path``."""
+    # render before opening, so a failed render leaves no file behind
+    text = render_report(system, recorder, **kwargs)
     with open(path, "w") as handle:
-        handle.write(render_report(system, recorder, **kwargs))
+        handle.write(text)

@@ -8,8 +8,8 @@ processor bands, and a time axis.
 
 from __future__ import annotations
 
+import html
 from typing import List, Optional
-from xml.sax.saxutils import escape
 
 from ..kernel.time import Time, format_time
 from .records import AccessKind, OverheadKind, TaskState
@@ -29,6 +29,7 @@ OVERHEAD_COLORS = {
     OverheadKind.CONTEXT_SAVE: "#7e57c2",
     OverheadKind.SCHEDULING: "#5c6bc0",
     OverheadKind.CONTEXT_LOAD: "#26a69a",
+    OverheadKind.MIGRATION: "#ef6c00",
 }
 
 _DOWN_ARROWS = (AccessKind.SIGNAL, AccessKind.WRITE)
@@ -39,6 +40,11 @@ MARGIN_LEFT = 140
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 40
 AXIS_TICKS = 10
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG/HTML text content."""
+    return html.escape(text, quote=False)
 
 
 def render_svg(
@@ -146,5 +152,7 @@ def render_svg(
 
 def save_svg(chart: TimelineChart, path: str, **kwargs) -> None:
     """Render and write the chart to ``path``."""
+    # render before opening, so a failed render leaves no file behind
+    text = render_svg(chart, **kwargs)
     with open(path, "w") as handle:
-        handle.write(render_svg(chart, **kwargs))
+        handle.write(text)

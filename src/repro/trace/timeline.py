@@ -58,6 +58,7 @@ OVERHEAD_SYMBOLS = {
     OverheadKind.CONTEXT_SAVE: "s",
     OverheadKind.SCHEDULING: "S",
     OverheadKind.CONTEXT_LOAD: "l",
+    OverheadKind.MIGRATION: "M",
 }
 
 
@@ -230,7 +231,8 @@ class TimelineChart:
                 lines.append(f"{processor:{label_width}} " + "".join(row))
         lines.append(
             f"{'':{label_width}} legend: #=running ==ready .=waiting "
-            "m=resource s/S/l=save/sched/load v/^=write/read L/U=lock/unlock"
+            "m=resource s/S/l/M=save/sched/load/migrate v/^=write/read "
+            "L/U=lock/unlock"
         )
         return "\n".join(lines)
 

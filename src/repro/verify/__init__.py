@@ -44,20 +44,16 @@ from dataclasses import fields
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, \
     Tuple, TYPE_CHECKING
 
+from .._exports import lazy_exports
 from ..analyze.diagnostics import Report, merge_suppressions
 from ..analyze.model import analyze_system
 from ..errors import VerifyError
 from ..kernel.simulator import Simulator
-from .choices import ChoiceController, ChoicePoint, RandomController, \
-    ScriptedController
-from .counterexample import Counterexample, minimize
-from .explorer import VerifyResult, VerifyStats, explore_dfs, explore_random
+from .choices import ChoicePoint
+from .explorer import VerifyResult, explore_dfs, explore_random
 from .harness import ModelFactory, RunOutcome, VerifyOptions, replay, \
-    run_once, spec_factory
-from .properties import RTSV001, RTSV002, RTSV003, RTSV004, RTSV005, \
-    RTSV006, RTSV007, Invariant, RunMonitors, Violation
-from .witness import WITNESS_PROPERTIES, WitnessOutcome, attempt_witness, \
-    witness_findings, witnessable
+    spec_factory
+from .properties import RTSV002, Invariant
 
 if TYPE_CHECKING:
     from ..mcse.model import System
@@ -243,41 +239,17 @@ def build_report(
     return report
 
 
-__all__ = [
-    "BOUND_KEYWORDS",
-    "ChoiceController",
-    "ChoicePoint",
-    "Counterexample",
-    "Invariant",
-    "ModelFactory",
-    "WITNESS_PROPERTIES",
-    "WitnessOutcome",
-    "RTSV001",
-    "RTSV002",
-    "RTSV003",
-    "RTSV004",
-    "RTSV005",
-    "RTSV006",
-    "RTSV007",
-    "RandomController",
-    "RunMonitors",
-    "RunOutcome",
-    "ScriptedController",
-    "VerifyOptions",
-    "VerifyResult",
-    "VerifyStats",
-    "Violation",
-    "assert_always",
-    "attempt_witness",
-    "build_report",
-    "minimize",
-    "replay",
-    "replay_model",
-    "replay_spec",
-    "run_once",
-    "spec_factory",
-    "verify_model",
-    "verify_spec",
-    "witness_findings",
-    "witnessable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "choices": ("ChoiceController", "ChoicePoint", "RandomController",
+                "ScriptedController"),
+    "counterexample": ("Counterexample", "minimize"),
+    "explorer": ("VerifyResult", "VerifyStats"),
+    "harness": ("ModelFactory", "RunOutcome", "VerifyOptions", "replay",
+                "run_once", "spec_factory"),
+    "properties": ("RTSV001", "RTSV002", "RTSV003", "RTSV004", "RTSV005",
+                   "RTSV006", "RTSV007", "Invariant", "RunMonitors",
+                   "Violation"),
+    "witness": ("WITNESS_PROPERTIES", "WitnessOutcome", "attempt_witness",
+                "witness_findings", "witnessable"),
+}, own=("BOUND_KEYWORDS", "assert_always", "build_report", "replay_model",
+        "replay_spec", "verify_model", "verify_spec"))

@@ -1,47 +1,15 @@
 """Workload generators: synthetic task sets, control loops, MPEG-2 SoC."""
 
-from .automotive import AutomotiveResult, build_automotive_system
-from .control import ControlLoop, build_control_system, default_loops
-from .distributions import (
-    Bimodal,
-    Constant,
-    Distribution,
-    Empirical,
-    Exponential,
-    Normal,
-    Uniform,
-)
-from .fig6 import fig6_spec
-from .mpeg2 import FRAME_PERIOD, FrameStats, GOP_PATTERN, Mpeg2Soc
-from .synthetic import (
-    PeriodicRunResult,
-    build_periodic_system,
-    generate_periodic_taskset,
-    random_pipeline_spec,
-    uunifast,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AutomotiveResult",
-    "Bimodal",
-    "Constant",
-    "ControlLoop",
-    "Distribution",
-    "Empirical",
-    "Exponential",
-    "Normal",
-    "Uniform",
-    "build_automotive_system",
-    "FRAME_PERIOD",
-    "FrameStats",
-    "GOP_PATTERN",
-    "Mpeg2Soc",
-    "PeriodicRunResult",
-    "build_control_system",
-    "build_periodic_system",
-    "default_loops",
-    "fig6_spec",
-    "generate_periodic_taskset",
-    "random_pipeline_spec",
-    "uunifast",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "automotive": ("AutomotiveResult", "build_automotive_system"),
+    "control": ("ControlLoop", "build_control_system", "default_loops"),
+    "distributions": ("Bimodal", "Constant", "Distribution", "Empirical",
+                      "Exponential", "Normal", "Uniform"),
+    "fig6": ("fig6_spec",),
+    "mpeg2": ("FRAME_PERIOD", "FrameStats", "GOP_PATTERN", "Mpeg2Soc"),
+    "synthetic": ("PeriodicRunResult", "build_periodic_system",
+                  "generate_periodic_taskset", "random_pipeline_spec",
+                  "uunifast"),
+})

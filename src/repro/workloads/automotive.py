@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..analysis.constraints import ConstraintSet, ReactionConstraint
-from ..comm import Bus, RemoteQueue
+from ..comm.bus import Bus
+from ..comm.remote import RemoteQueue
 from ..kernel.time import MS, Time, US
 from ..mcse.model import System
 

@@ -161,7 +161,7 @@ class Mpeg2Soc:
         self.use_bus = use_bus
         self.bus = None
         if use_bus:
-            from ..comm import Bus
+            from ..comm.bus import Bus
 
             self.bus = Bus(self.system.sim, "soc_bus", setup=bus_setup,
                            per_byte=bus_per_byte, arbitration="priority")
@@ -182,7 +182,7 @@ class Mpeg2Soc:
         for name in chain:
             if name == "q_channel" and self.bus is not None:
                 # the encoded bitstream crosses the shared SoC bus
-                from ..comm import RemoteQueue
+                from ..comm.remote import RemoteQueue
 
                 queue = RemoteQueue(
                     system.sim, name, capacity=capacity, bus=self.bus,

@@ -1,6 +1,9 @@
 """Units for the shared Diagnostic/Report pipeline."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.analyze import RULES, Diagnostic, Report, Severity
 from repro.analyze.diagnostics import (
@@ -106,3 +109,54 @@ class TestSuppressionHelpers:
         assert object_suppressions(obj) == {"R1"}
         obj.lint_suppress = ("R1", "R2")
         assert object_suppressions(obj) == {"R1", "R2"}
+
+
+CATALOGUE_IN_FRESH_PROCESS = """
+import importlib, json, pkgutil, sys
+import repro
+from repro.analyze.diagnostics import EXPLANATIONS, RULES, Report, \\
+    explain_rule
+from repro.analyze.sarif import report_to_sarif
+
+def snapshot():
+    report = Report()
+    report.add("SAN301", Report.WARNING, "sim", "two writers")
+    sarif = report_to_sarif(report, artifact="spec.json")
+    rules = sarif["runs"][0]["tool"]["driver"]["rules"]
+    return [dict(RULES), dict(EXPLANATIONS), explain_rule("SAN301"),
+            rules[0]["shortDescription"]["text"]]
+
+first = snapshot()
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+print(json.dumps([first, snapshot() == first]))
+"""
+
+
+def run_fresh(*args):
+    """Run ``python *args`` in a new interpreter; return its stdout."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    done = subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestCatalogueIsComplete:
+    """The catalogue never depends on what happened to be imported."""
+
+    def test_fresh_import_sees_every_rule(self):
+        (rules, explanations, explained, sarif_text), unchanged = \
+            json.loads(run_fresh("-c", CATALOGUE_IN_FRESH_PROCESS))
+        assert unchanged
+        assert {"SAN301", "SAN302", "SAN303", "SRC201", "RTS-V001",
+                "RTS101", "RTS160", "RTS180"} <= set(rules)
+        assert explanations
+        assert explained.startswith("SAN301: conflicting same-delta writes")
+        assert sarif_text == rules["SAN301"]
+
+    def test_cli_explains_a_verifier_rule(self):
+        out = run_fresh("-m", "repro.cli", "lint", "--explain", "RTS-V001")
+        assert out.startswith("RTS-V001: ")

@@ -153,6 +153,16 @@ class TestSmpTargets:
         assert "domain dom0 (global, global_edf)" in out
         assert re.search(r"[1-9][0-9]* migrations", out)
 
+    def test_migration_overheads_render(self, tmp_path, capsys):
+        svg, html = tmp_path / "smp.svg", tmp_path / "smp.html"
+        assert main(["run", str(EXAMPLES / "smp_global_edf.json"),
+                     "--duration", "2ms", "--timeline", "--svg", str(svg),
+                     "--html", str(html)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^cpu\d .*M", out, re.MULTILINE)
+        assert "<title>migration " in svg.read_text()
+        assert "<title>migration " in html.read_text()
+
     def test_placement_miss_is_found_and_replays(self, capsys):
         assert main(["verify", "smp-miss", "--horizon", "20ms",
                      "--replay"]) == 1

@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.trace import TimelineChart, TraceRecorder, render_svg, save_svg, write_vcd
 from repro.trace.vcd import _identifier
 
@@ -45,6 +47,12 @@ class TestSvg:
         path = tmp_path / "fig6.svg"
         save_svg(chart, str(path), title="Fig 6")
         assert path.read_text().startswith("<svg")
+
+    def test_failed_render_writes_no_file(self, tmp_path):
+        path = tmp_path / "broken.svg"
+        with pytest.raises(AttributeError):
+            save_svg(None, str(path))
+        assert not path.exists()
 
 
 class TestVcd:

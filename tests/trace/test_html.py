@@ -58,6 +58,13 @@ class TestHtmlReport:
         save_report(system, recorder, str(path))
         assert path.read_text().startswith("<!DOCTYPE html>")
 
+    def test_failed_render_writes_no_file(self, fig6, tmp_path):
+        _, recorder = fig6
+        path = tmp_path / "broken.html"
+        with pytest.raises(AttributeError):
+            save_report(None, recorder, str(path))
+        assert not path.exists()
+
     def test_report_parses_as_xmlish(self, fig6):
         """The SVG payload inside the report is well-formed XML."""
         import xml.etree.ElementTree as ET
