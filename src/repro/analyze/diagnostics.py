@@ -104,7 +104,12 @@ EXPLANATIONS: Mapping[str, str] = _Catalogue(_explanations)
 
 def rule(rule_id: str, summary: str, *,
          explain: Optional[str] = None) -> str:
-    """Register ``rule_id`` in the catalogue and return it."""
+    """Register ``rule_id`` in the catalogue and return it.
+
+    Call it at import time from a module listed in :data:`RULE_MODULES`,
+    or the rule is missing from the catalogue until that module happens
+    to be imported.
+    """
     _summaries[rule_id] = summary
     if explain is not None:
         _explanations[rule_id] = explain

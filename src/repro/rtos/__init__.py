@@ -13,6 +13,7 @@ RTOS-thread engine (§4.1).  ``make_processor`` selects one by name.
 
 from .._exports import lazy_exports
 from ..errors import RTOSError
+from . import partitions  # noqa: F401  registers "time_partition" in POLICIES
 from .procedural import ProceduralProcessor
 from .threaded import ThreadedProcessor
 

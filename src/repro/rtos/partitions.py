@@ -124,7 +124,8 @@ class TimePartitionPolicy(SchedulingPolicy):
         return f"<TimePartitionPolicy [{parts}]>"
 
 
-# Registered here (not in the policies module) so the registry entry
-# appears exactly when this policy is importable; the builder accepts
+# Registered here (not in the policies module, which this module
+# imports); ``repro.rtos`` imports this module eagerly, so POLICIES is
+# complete once any ``repro.rtos`` module is.  The builder accepts
 # {"policy": "time_partition", "windows": [["flight", "5ms"], ...]}.
 POLICIES[TimePartitionPolicy.name] = TimePartitionPolicy

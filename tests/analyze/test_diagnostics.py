@@ -1,9 +1,6 @@
 """Units for the shared Diagnostic/Report pipeline."""
 
 import json
-import os
-import subprocess
-import sys
 
 from repro.analyze import RULES, Diagnostic, Report, Severity
 from repro.analyze.diagnostics import (
@@ -11,6 +8,8 @@ from repro.analyze.diagnostics import (
     object_suppressions,
     rule,
 )
+
+from ..fresh import run_fresh
 
 
 class TestDiagnostic:
@@ -131,17 +130,6 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 print(json.dumps([first, snapshot() == first]))
 """
-
-
-def run_fresh(*args):
-    """Run ``python *args`` in a new interpreter; return its stdout."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    done = subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 class TestCatalogueIsComplete:

@@ -9,15 +9,11 @@ fresh interpreter: ``sys.modules`` of the test process says nothing.
 """
 
 import json
-import os
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO, "src")
+from .fresh import run_fresh
 
 #: Modules (and their submodules) no entry point below may load.
 NEVER_LOADED = (
@@ -53,20 +49,16 @@ ENTRY_POINTS = {
 }
 
 
-def run_fresh(body: str, result: str = "sorted(sys.modules)"):
+def fresh_value(body: str, result: str = "sorted(sys.modules)"):
     """Run ``body`` in a new interpreter and return ``result`` there."""
     code = (f"import json, sys\n{textwrap.dedent(body)}\n"
             f"sys.stdout.write('\\n' + json.dumps({result}))")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.rsplit("\n", 1)[-1])
+    return json.loads(run_fresh("-c", code).rsplit("\n", 1)[-1])
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_point_loads_nothing_it_does_not_run(entry):
-    loaded = run_fresh(ENTRY_POINTS[entry])
+    loaded = fresh_value(ENTRY_POINTS[entry])
     unexpected = sorted(
         name for name in loaded
         for banned in NEVER_LOADED
@@ -76,7 +68,7 @@ def test_entry_point_loads_nothing_it_does_not_run(entry):
 
 
 def test_import_repro_loads_no_subpackage():
-    loaded = run_fresh("import repro")
+    loaded = fresh_value("import repro")
     assert [name for name in loaded if name.startswith("repro")] == [
         "repro", "repro._exports",
     ]
@@ -121,12 +113,59 @@ EXPORTS_STAY_PUT = """
 def test_every_export_resolves_and_stays_put(submodules_first):
     body = f"SUBMODULES_FIRST = {submodules_first}\n" + \
         textwrap.dedent(EXPORTS_STAY_PUT)
-    assert run_fresh(body, "RESULT") == []
+    assert fresh_value(body, "RESULT") == []
 
 
 def test_submodules_stay_reachable_as_attributes():
-    names = run_fresh(
+    names = fresh_value(
         "import repro.trace",
         "[repro.trace.svg.__name__, repro.analyze.lockgraph.__name__]",
     )
     assert names == ["repro.trace.svg", "repro.analyze.lockgraph"]
+
+
+#: The tables other code looks names up in, as (module, attribute).  A
+#: registry must be complete once its own module is imported: an entry
+#: added by some other module's import would make lookups depend on what
+#: the caller happened to import first.
+REGISTRIES = [
+    ("repro.rtos.policies", "POLICIES"),
+    ("repro.rtos", "ENGINES"),
+    ("repro.personality", "PERSONALITIES"),
+    ("repro.corpus.generators", "GENERATORS"),
+    ("repro.analyze.diagnostics", "RULES"),
+    ("repro.analyze.diagnostics", "EXPLANATIONS"),
+]
+
+REGISTRY_COMPLETE = """
+    import importlib, pkgutil
+    import repro
+
+    def keys():
+        return sorted(getattr(importlib.import_module(MODULE), NAME))
+
+    first = keys()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    RESULT = [first, keys()]
+"""
+
+
+@pytest.mark.parametrize("module,name", REGISTRIES,
+                         ids=[name for _, name in REGISTRIES])
+def test_registry_is_complete_on_its_own_import(module, name):
+    body = f"MODULE, NAME = {module!r}, {name!r}\n" + \
+        textwrap.dedent(REGISTRY_COMPLETE)
+    first, complete = fresh_value(body, "RESULT")
+    assert first == complete
+
+
+def test_partitioned_spec_builds_after_importing_rtos_alone():
+    registered = fresh_value("""
+        from repro.rtos import POLICIES
+        registered = "time_partition" in POLICIES
+        from repro.corpus import generate
+        from repro.mcse import build_system
+        build_system(generate("partitioned", 0))
+    """, "registered")
+    assert registered is True
