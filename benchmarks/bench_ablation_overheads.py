@@ -13,10 +13,7 @@ a synthetic periodic task set:
 """
 
 from _scenarios import write_result
-from repro.analysis import (
-    is_schedulable,
-    response_time_analysis,
-)
+from repro.analyze import is_schedulable, response_time_analysis
 from repro.kernel.time import MS, US, format_time
 from repro.workloads import build_periodic_system, generate_periodic_taskset
 

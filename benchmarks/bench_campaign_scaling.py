@@ -36,8 +36,7 @@ from _report import (
     report_meta,
     write_report,
 )
-from repro.analysis.montecarlo import monte_carlo
-from repro.campaign import mpeg2_experiment
+from repro.campaign import monte_carlo, mpeg2_experiment
 
 SCHEMA_VERSION = 1
 

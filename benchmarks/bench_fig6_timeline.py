@@ -12,9 +12,13 @@ Regenerates the paper's chart and asserts the measurements it prints:
 """
 
 from _scenarios import build_fig6_system, write_result
-from repro.analysis import reaction_latencies, switch_sequences
 from repro.kernel.time import US, format_time
-from repro.trace import TimelineChart, TraceRecorder
+from repro.trace import (
+    TimelineChart,
+    TraceRecorder,
+    reaction_latencies,
+    switch_sequences,
+)
 
 
 def run_fig6():

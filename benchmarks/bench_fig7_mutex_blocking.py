@@ -12,9 +12,8 @@ resource", and the priority-inversion window -- and quantifies it:
 """
 
 from _scenarios import build_fig7_system, write_result
-from repro.analysis import blocking_intervals
 from repro.kernel.time import US, format_time
-from repro.trace import TimelineChart
+from repro.trace import TimelineChart, blocking_intervals
 
 VARIANTS = ("plain", "preemption_mask", "inheritance", "ceiling")
 

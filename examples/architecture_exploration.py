@@ -23,8 +23,7 @@ from repro.baselines import build_untimed
 from repro.comm import Bus, RemoteQueue
 from repro.kernel.time import US, format_time
 from repro.mcse import System
-from repro.trace import TraceRecorder
-from repro.analysis import latency_summary
+from repro.trace import TraceRecorder, latency_summary
 
 SAMPLES = 30
 OVERHEADS = dict(scheduling_duration=5 * US, context_load_duration=5 * US,

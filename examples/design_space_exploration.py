@@ -12,19 +12,14 @@ set:
 3. cross-checks the simulation against analytical response-time
    analysis (RTA);
 4. demonstrates automatic timing-constraint verification (the paper's
-   stated future work, implemented in :mod:`repro.analysis.constraints`).
+   stated future work, implemented in :mod:`repro.trace.constraints`).
 
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.analysis import (
-    ConstraintSet,
-    DeadlineConstraint,
-    response_time_analysis,
-    total_utilization,
-)
+from repro.analyze import response_time_analysis, total_utilization
 from repro.kernel.time import MS, US, format_time
-from repro.trace import TraceRecorder
+from repro.trace import ConstraintSet, DeadlineConstraint, TraceRecorder
 from repro.workloads import build_periodic_system, generate_periodic_taskset
 
 SEED = 7

@@ -14,9 +14,10 @@ Run:  python examples/monte_carlo.py
 
 import random
 
-from repro.analysis import ascii_histogram, monte_carlo
+from repro.campaign import monte_carlo
 from repro.kernel.time import MS, US, format_time
 from repro.mcse import System
+from repro.trace import ascii_histogram
 from repro.workloads import Bimodal, Constant, Normal
 
 DEADLINE = 6 * MS

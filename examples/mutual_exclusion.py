@@ -16,11 +16,10 @@ high-priority task is delayed:
 Run:  python examples/mutual_exclusion.py
 """
 
-from repro.analysis import blocking_intervals
 from repro.kernel.time import US, format_time
 from repro.mcse import System
 from repro.rtos import CeilingSharedVariable, InheritanceSharedVariable
-from repro.trace import TimelineChart, TraceRecorder
+from repro.trace import TimelineChart, TraceRecorder, blocking_intervals
 
 
 def build(variant: str):

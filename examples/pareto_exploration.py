@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pareto design-space exploration of the MPEG-2 SoC.
 
-Uses the structured DSE driver (:mod:`repro.analysis.dse`) to sweep the
+Uses the structured DSE driver (:mod:`repro.campaign.dse`) to sweep the
 SoC's platform knobs -- scheduling policy and RTOS overhead class -- and
 extract the Pareto front over (frame latency, simulation-visible RTOS
 cost).  This is the paper's "explore the design space ... and obtain
@@ -10,7 +10,7 @@ accurate results" workflow as a ten-line loop.
 Run:  python examples/pareto_exploration.py
 """
 
-from repro.analysis import Parameter, explore, pareto_front, tabulate
+from repro.campaign import Parameter, explore, pareto_front, tabulate
 from repro.kernel.time import US, format_time
 from repro.workloads import Mpeg2Soc
 

@@ -71,7 +71,7 @@ def main() -> None:
               f"partition={getattr(fn, 'partition', '-')}")
 
     # isolation check: flight work never ran inside a cabin window
-    from repro.analysis import state_intervals
+    from repro.trace import state_intervals
     from repro.trace.records import TaskState
 
     for interval in state_intervals(recorder, "flight_ctl",

@@ -14,14 +14,15 @@ durations -- then:
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import reaction_latencies, switch_sequences
 from repro.kernel.time import US, format_time
 from repro.mcse import System
 from repro.trace import (
     TimelineChart,
     TraceRecorder,
     format_report,
+    reaction_latencies,
     relation_stats,
+    switch_sequences,
     task_stats_from_functions,
 )
 

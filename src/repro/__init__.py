@@ -9,9 +9,10 @@ Layers (bottom-up):
 * :mod:`repro.kernel`   -- SystemC-like discrete-event kernel.
 * :mod:`repro.mcse`     -- MCSE functional model (functions + relations).
 * :mod:`repro.rtos`     -- the paper's contribution: the generic RTOS model.
-* :mod:`repro.trace`    -- timeline charts, statistics, VCD/SVG export.
-* :mod:`repro.analysis` -- latency measurements, timing constraints, RTA.
-* :mod:`repro.campaign` -- parallel/cached batch execution of campaigns.
+* :mod:`repro.trace`    -- timeline charts, statistics, latency
+  measurements, timing constraints, VCD/SVG export.
+* :mod:`repro.analyze`  -- pre-simulation model/source linter and RTA.
+* :mod:`repro.campaign` -- batch execution, Monte-Carlo and DSE drivers.
 * :mod:`repro.baselines`-- untimed and quantum-preemption baselines.
 * :mod:`repro.comm`     -- shared-bus interconnect substrate.
 * :mod:`repro.codegen`  -- C software generation (the paper's future work).

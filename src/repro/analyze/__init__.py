@@ -30,6 +30,8 @@ runs, in milliseconds:
   ``RTS18x``), and synthesizes machine-applicable JSON-spec patches
   (``pyrtos-sc lint --fix``).
 
+The fixed-priority RTA they share lives in ``response_time``.
+
 All of them report through one :class:`Diagnostic` pipeline; the
 ``pyrtos-sc lint`` CLI command renders it as text or JSON.  The full
 rule catalogue lives in ``docs/analysis.md``.
@@ -49,6 +51,10 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "flow": ("TaskFlow", "analyze_flows", "analyze_task", "check_flow"),
     "model": ("analyze_processors", "analyze_system"),
     "personality": ("check_personality",),
+    "response_time": ("PeriodicTask", "breakdown_utilization",
+                      "is_schedulable", "liu_layland_bound",
+                      "rate_monotonic_priorities",
+                      "response_time_analysis", "total_utilization"),
     "sanitize": ("Sanitizer",),
     "sarif": ("report_to_sarif",),
     "schedulability": ("periodic_profile",),

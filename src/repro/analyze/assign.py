@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.response_time import PeriodicTask, _task_response
 from .blocking import (
     BlockingModel,
     _analysis_domain,
     _with_blocking,
 )
 from .diagnostics import Report, rule
+from .response_time import PeriodicTask, _task_response
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from .context import LintContext

@@ -17,7 +17,7 @@ knows every lock's worst-case hold time.  This module closes that gap:
    unbounded without a protocol) and cross-processor sharing (sum of
    remote holds, never exact).
 3. **Blocking-aware RTA** -- the overhead-aware response-time recurrence
-   of :mod:`repro.analysis.response_time` re-run with the blocking term
+   of :mod:`repro.analyze.response_time` re-run with the blocking term
    charged, refining the zero-blocking verdicts.
 
 Rules (catalogued in ``docs/analysis.md``):
@@ -56,13 +56,13 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.response_time import PeriodicTask
 from ..kernel.time import format_time
 from ..mcse.shared import SharedVariable
 from ..rtos.services import CeilingSharedVariable, InheritanceSharedVariable
 from .diagnostics import Report, rule
 from .effects import Branch, Effect, Exit, Loop, Node, Seq
 from .flow import TaskFlow, _emit
+from .response_time import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from .context import LintContext

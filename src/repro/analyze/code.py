@@ -22,10 +22,9 @@ line of its own suppresses the rule for the whole file.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
-from .diagnostics import Report, rule
+from .diagnostics import Report, _pragmas, rule
 
 SRC000 = rule("SRC000", "source file does not parse")
 SRC201 = rule("SRC201", "process-global random generator used unseeded")
@@ -49,26 +48,6 @@ _WALL_CLOCK_DATETIME_FNS = {"now", "today", "utcnow"}
 
 #: Campaign entry points whose callable arguments must be picklable.
 _SPEC_CONSTRUCTORS = {"ExperimentSpec", "monte_carlo", "explore"}
-
-_PRAGMA = re.compile(r"#\s*pyrtos:\s*disable=([A-Za-z0-9_,\s]+)")
-
-
-def _pragmas(text: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
-    """(file-wide suppressions, per-line suppressions) from comments."""
-    file_wide: Set[str] = set()
-    per_line: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        match = _PRAGMA.search(line)
-        if not match:
-            continue
-        rules = {part.strip() for part in match.group(1).split(",")
-                 if part.strip()}
-        if line.lstrip().startswith("#"):
-            file_wide.update(rules)
-        else:
-            per_line.setdefault(lineno, set()).update(rules)
-    return file_wide, per_line
-
 
 class _SourceVisitor(ast.NodeVisitor):
     def __init__(self, report: Report, location: str,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.response_time import PeriodicTask, response_time_analysis
 from .blocking import BlockingModel, BlockingTerm, _with_blocking
 from .flow import TaskFlow, analyze_flows
+from .response_time import PeriodicTask, response_time_analysis
 from .schedulability import OverheadProbe, periodic_profile, probe_overheads
 
 Responses = Dict[str, Optional[int]]

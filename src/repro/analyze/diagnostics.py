@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 import importlib
 import json
+import re
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 
 class Severity(enum.Enum):
@@ -284,3 +285,23 @@ def object_suppressions(obj: object) -> Set[str]:
     if isinstance(declared, str):
         return {declared}
     return set(declared)
+
+
+_PRAGMA = re.compile(r"#\s*pyrtos:\s*disable=([A-Za-z0-9_,\s]+)")
+
+
+def _pragmas(text: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
+    """(file-wide suppressions, per-line suppressions) from comments."""
+    file_wide: Set[str] = set()
+    per_line: Dict[int, Set[str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        match = _PRAGMA.search(line)
+        if not match:
+            continue
+        rules = {part.strip() for part in match.group(1).split(",")
+                 if part.strip()}
+        if line.lstrip().startswith("#"):
+            file_wide.update(rules)
+        else:
+            per_line.setdefault(lineno, set()).update(rules)
+    return file_wide, per_line

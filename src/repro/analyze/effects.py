@@ -49,7 +49,7 @@ from typing import (
 )
 
 from ..mcse.builder import RELATION_OPS
-from .code import _pragmas
+from .diagnostics import _pragmas
 
 #: Leaf effect kinds (see the module docstring).
 EFFECT_KINDS = frozenset((

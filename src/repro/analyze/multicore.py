@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Tuple
 
-from ..analysis.response_time import PeriodicTask
 from .diagnostics import Report
+from .response_time import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from .context import LintContext

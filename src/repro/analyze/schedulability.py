@@ -17,7 +17,7 @@ come from two sources, in priority order:
 Tasks without a profile are simply skipped -- the utilization and
 response-time rules only ever claim what they can prove.
 
-The checks themselves reuse :mod:`repro.analysis.response_time` (the
+The checks themselves reuse :mod:`repro.analyze.response_time` (the
 same overhead-aware RTA the simulator is validated against), with the
 processor's :class:`~repro.rtos.overheads.Overheads` resolved against
 the live pre-simulation processor state.
@@ -27,14 +27,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..analysis.response_time import (
-    PeriodicTask,
-    liu_layland_bound,
-    total_utilization,
-)
 from ..kernel.time import format_time
 from ..rtos.overheads import formula_arity_error
 from .diagnostics import Report
+from .response_time import PeriodicTask, liu_layland_bound, total_utilization
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from .context import LintContext

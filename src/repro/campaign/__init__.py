@@ -14,8 +14,8 @@ those one-off loops into an orchestrated batch engine:
 * :class:`ProgressReporter` -- live progress/ETA plus a final
   throughput summary.
 
-The high-level drivers :func:`repro.analysis.monte_carlo` and
-:func:`repro.analysis.explore` always execute through the
+The high-level drivers :func:`monte_carlo` (``montecarlo.py``) and
+:func:`explore` (``dse.py``) always execute through the
 :class:`Runner`, so ``workers=`` / ``cache=`` never change what they
 return; see ``docs/campaigns.md`` for semantics and guarantees.
 """
@@ -25,7 +25,11 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "cache": ("DEFAULT_CACHE_ROOT", "ResultCache", "resolve_cache",
               "run_key"),
+    "dse": ("ExplorationResult", "Parameter", "configurations", "explore",
+            "pareto_front", "tabulate"),
     "experiments": ("mpeg2_experiment",),
+    "montecarlo": ("Campaign", "MetricSample", "format_campaign",
+                   "monte_carlo"),
     "progress": ("ProgressReporter",),
     "runner": ("CampaignResult", "RunFailure", "RunResult", "Runner"),
     "spec": ("ExperimentSpec", "callable_fingerprint", "canonical_json"),

@@ -119,8 +119,8 @@ def explore(
     """
     configs = configurations(space)
 
-    from ..campaign.runner import Runner
-    from ..campaign.spec import ExperimentSpec
+    from .runner import Runner
+    from .spec import ExperimentSpec
 
     spec = ExperimentSpec(
         "explore", functools.partial(_design_point, build, metrics, duration))

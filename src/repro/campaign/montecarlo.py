@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from ..errors import ReproError
-from .measurements import latency_summary, percentile
+from ..trace.measurements import latency_summary, percentile
 
 
 @dataclass
@@ -117,8 +117,8 @@ def monte_carlo(
     if runs < 1:
         raise ReproError(f"need at least one run, got {runs}")
 
-    from ..campaign.runner import Runner
-    from ..campaign.spec import ExperimentSpec
+    from .runner import Runner
+    from .spec import ExperimentSpec
 
     spec = ExperimentSpec(getattr(experiment, "__name__", "experiment"),
                           functools.partial(_seeded, experiment))

@@ -14,39 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from .errors import ReproError
+from .jsonout import emit_json
 from .kernel.time import format_time, parse_time
-from .mcse.builder import build_system
-from .trace.recorder import TraceRecorder
-from .trace.statistics import (
-    format_report,
-    relation_stats,
-    task_stats_from_functions,
-)
-
-
-def _emit_json(payload, destination=None) -> str:
-    """Canonical JSON emission for every subcommand *and* the gateway.
-
-    One encoding -- ``indent=2``, sorted keys, trailing newline -- so
-    CLI output, ``--json`` files and ``repro.serve`` HTTP bodies are
-    all byte-stable for identical payloads.  ``destination`` is
-    ``None`` (stdout), a path, or a file-like object; the rendered
-    text (without the trailing newline) is returned either way.
-    """
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if destination is None:
-        sys.stdout.write(text + "\n")
-    elif isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        destination.write(text + "\n")
-    return text
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,6 +48,9 @@ def _emit_outputs(args, system, recorder) -> None:
     if args.timeline:
         print(chart.render_ascii(width=args.width))
     if args.stats:
+        from .trace.statistics import format_report, relation_stats, \
+            task_stats_from_functions
+
         print(
             format_report(
                 task_stats_from_functions(system.functions.values()),
@@ -104,6 +80,9 @@ def _emit_outputs(args, system, recorder) -> None:
 
 
 def cmd_run(args) -> int:
+    from .mcse.builder import build_system
+    from .trace.recorder import TraceRecorder
+
     with open(args.spec) as handle:
         spec = json.load(handle)
     system = build_system(spec)
@@ -117,7 +96,9 @@ def cmd_run(args) -> int:
 
 def cmd_fig6(args) -> int:
     """Run the paper's §5 example and reproduce its measurements."""
-    from .analysis.measurements import reaction_latencies
+    from .mcse.builder import build_system
+    from .trace.measurements import reaction_latencies
+    from .trace.recorder import TraceRecorder
     from .workloads.fig6 import fig6_spec
 
     system = build_system(fig6_spec(engine=args.engine))
@@ -131,6 +112,7 @@ def cmd_fig6(args) -> int:
 
 
 def cmd_mpeg2(args) -> int:
+    from .trace.recorder import TraceRecorder
     from .workloads.mpeg2 import Mpeg2Soc
 
     soc = Mpeg2Soc(frames=args.frames, engine=args.engine, seed=args.seed)
@@ -147,7 +129,8 @@ def cmd_mpeg2(args) -> int:
 
 def cmd_report(args) -> int:
     """Offline analysis of a saved JSONL trace (no model needed)."""
-    from .trace.statistics import task_stats_from_records
+    from .trace.recorder import TraceRecorder
+    from .trace.statistics import format_report, task_stats_from_records
     from .trace.svg import save_svg
     from .trace.timeline import TimelineChart
     from .trace.vcd import save_vcd
@@ -173,8 +156,7 @@ def cmd_campaign(args) -> int:
     """Run a Monte-Carlo campaign over the MPEG-2 SoC in parallel."""
     import functools
 
-    from .analysis.montecarlo import format_campaign, monte_carlo
-    from .campaign import mpeg2_experiment
+    from .campaign import format_campaign, monte_carlo, mpeg2_experiment
 
     experiment = functools.partial(
         mpeg2_experiment, frames=args.frames, engine=args.engine
@@ -207,7 +189,7 @@ def cmd_campaign(args) -> int:
             },
             "failures": [f.describe() for f in campaign.failures],
         }
-        _emit_json(payload, args.json)
+        emit_json(payload, args.json)
         print(f"wrote {args.json}")
     return 0 if not campaign.failures else 1
 
@@ -219,7 +201,8 @@ def _lint_target(target: str, suppress):
     (the witness harness can re-build and explore them), ``None`` for
     source files and targets without an injectable simulator.
     """
-    from .analyze import analyze_source, analyze_system
+    from .analyze import analyze_system
+    from .mcse.builder import build_system
 
     if target == "fig6":
         from .workloads.fig6 import fig6_spec
@@ -238,6 +221,8 @@ def _lint_target(target: str, suppress):
         return target, analyze_system(build_system(spec),
                                       suppress=suppress), spec
     if target.endswith(".py"):
+        from .analyze import analyze_source
+
         report = analyze_source(target)
         report.suppress.update(suppress)
         if suppress:
@@ -340,7 +325,7 @@ def cmd_lint(args) -> int:
             payload.append(entry)
             if not report.ok(strict=args.strict):
                 failed = True
-        _emit_json(payload)
+        emit_json(payload)
     else:
         for location, report, _ in results:
             if len(results) > 1:
@@ -370,7 +355,7 @@ def cmd_lint(args) -> int:
                     f"{location!r} is a built-in target"
                 )
             patched = apply_fixes(spec, applicable)
-            _emit_json(patched, location)
+            emit_json(patched, location)
             print(f"applied {len(applicable)} fix(es) to {location}",
                   file=sys.stderr)
     if args.sarif:
@@ -385,7 +370,7 @@ def cmd_lint(args) -> int:
             )["runs"])
         log = {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION,
                "runs": runs}
-        _emit_json(log, args.sarif)
+        emit_json(log, args.sarif)
         print(f"wrote {args.sarif}", file=sys.stderr)
     return 1 if failed else 0
 
@@ -450,7 +435,7 @@ def cmd_verify(args) -> int:
         payload = result.to_dict()
         payload["report"] = report.to_dict()
         payload["target"] = args.target
-        _emit_json(payload)
+        emit_json(payload)
     else:
         stats = result.stats
         print(
@@ -567,7 +552,7 @@ def cmd_corpus(args) -> int:
     if args.list or args.json or not args.kind:
         catalogue = _corpus_catalogue()
         if args.json:
-            _emit_json(catalogue, args.out)
+            emit_json(catalogue, args.out)
             return 0
         for section, entries in catalogue.items():
             print(f"{section}:")
@@ -580,7 +565,7 @@ def cmd_corpus(args) -> int:
     if args.digest:
         print(spec_digest(spec))
         return 0
-    _emit_json(spec, args.out)
+    emit_json(spec, args.out)
     if args.out:
         print(f"wrote {args.out}")
     return 0
@@ -598,7 +583,7 @@ def cmd_batch_run(args) -> int:
         timeout=args.timeout,
         progress=args.progress,
     )
-    _emit_json(report, args.out)
+    emit_json(report, args.out)
     summary = report["summary"]
     if args.out:
         print(
@@ -624,7 +609,7 @@ def cmd_compare(args) -> int:
         label_b=os.path.basename(args.report_b),
     )
     if args.json:
-        _emit_json(diff)
+        emit_json(diff)
     else:
         print(format_comparison(diff))
     return 0 if diff["identical"] else 1
@@ -677,7 +662,7 @@ def cmd_fuzz(args) -> int:
         progress=print if not args.json else None,
     )
     if args.json:
-        _emit_json(report.to_dict(), args.out)
+        emit_json(report.to_dict(), args.out)
     else:
         print(
             f"fuzzed {report.scenarios}/{report.budget} scenario(s) in "

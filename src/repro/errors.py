@@ -68,7 +68,7 @@ class DeadlockError(SimulationError):
 class ConstraintViolation(ReproError):
     """A declarative timing constraint was violated during simulation.
 
-    Raised by :mod:`repro.analysis.constraints` when a constraint is
+    Raised by :mod:`repro.trace.constraints` when a constraint is
     configured with ``hard=True``; soft constraints are merely recorded.
     """
 

@@ -1,6 +1,6 @@
 """Online deadline watchdogs: detect misses *during* the simulation.
 
-Post-hoc constraints (:mod:`repro.analysis.constraints`) judge a trace
+Post-hoc constraints (:mod:`repro.trace.constraints`) judge a trace
 after the run; a :class:`DeadlineWatchdog` reacts at the moment a
 deadline expires, like a hardware watchdog or a kernel deadline monitor
 would -- so a model can simulate *recovery* (shed load, reset a task,

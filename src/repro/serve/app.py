@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..campaign.cache import ResultCache
 from ..errors import ReproError
+from ..jsonout import emit_json
 from .jobs import Job, JobStore, UnknownJob
 from .metrics import Registry, build_gateway_metrics
 from .queue import AdmissionQueue, QueueFull, RateLimited, TokenBucket
@@ -73,11 +74,9 @@ class BadRequest(ReproError):
 
 
 def _encode_json(payload) -> bytes:
-    """Canonical response encoding -- the CLI's ``_emit_json`` helper."""
-    from ..cli import _emit_json
-
+    """Canonical response encoding: :func:`repro.jsonout.emit_json`."""
     buffer = io.StringIO()
-    _emit_json(payload, buffer)
+    emit_json(payload, buffer)
     return buffer.getvalue().encode("utf-8")
 
 

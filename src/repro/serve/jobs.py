@@ -88,7 +88,7 @@ SIMULATE_SPEC = ExperimentSpec("serve-simulate", _simulate)
 # cached at request granularity (the CLI's --json payload shape).
 # ---------------------------------------------------------------------------
 def _campaign(params: Dict) -> Dict:
-    from ..analysis.montecarlo import monte_carlo
+    from ..campaign.montecarlo import monte_carlo
     from ..campaign.experiments import mpeg2_experiment
 
     experiment = functools.partial(

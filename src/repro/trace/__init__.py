@@ -1,17 +1,26 @@
-"""Trace recording, TimeLine charts, statistics and exporters.
+"""Trace recording, TimeLine charts, statistics, measurements, exporters.
 
 The result-exploitation layer of the paper's §5: attach a
 :class:`TraceRecorder` to a simulator, run, then build a
 :class:`TimelineChart` (ASCII or SVG), compute the Figure-8 statistics,
-or export to VCD for a waveform viewer.
+measure latencies (``measurements``), check timing constraints
+(``constraints``), or export to VCD for a waveform viewer.
 """
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "constraints": ("Constraint", "ConstraintSet", "DeadlineConstraint",
+                    "JitterConstraint", "PrecedenceConstraint",
+                    "ReactionConstraint", "ThroughputConstraint",
+                    "Violation"),
     "diff": ("TraceDivergence", "diff_traces", "format_diff",
              "traces_equal"),
     "html": ("render_report", "save_report"),
+    "measurements": ("Interval", "ascii_histogram", "blocking_intervals",
+                     "latency_summary", "percentile", "reaction_latencies",
+                     "response_times", "running_starts", "state_intervals",
+                     "stimulus_times", "switch_sequences"),
     "recorder": ("TraceRecorder",),
     "records": ("AccessKind", "AccessRecord", "InterruptRecord",
                 "MarkerRecord", "MigrationRecord", "OverheadKind",

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from ..errors import ConstraintViolation
 from ..kernel.time import Time, format_time
-from ..trace.recorder import TraceRecorder
+from .recorder import TraceRecorder
 from .measurements import reaction_latencies, response_times, running_starts
 
 
@@ -139,7 +139,7 @@ class PrecedenceConstraint(Constraint):
         self.latency = latency
 
     def check(self, recorder: TraceRecorder) -> List[Violation]:
-        from ..trace.records import AccessKind, AccessRecord
+        from .records import AccessKind, AccessRecord
 
         producing = (AccessKind.WRITE, AccessKind.SIGNAL)
         sources = [r.time for r in recorder.of_type(AccessRecord)
@@ -188,7 +188,7 @@ class ThroughputConstraint(Constraint):
         self.window = window
 
     def check(self, recorder: TraceRecorder) -> List[Violation]:
-        from ..trace.records import AccessRecord
+        from .records import AccessRecord
 
         times = [r.time for r in recorder.of_type(AccessRecord)
                  if r.relation == self.relation]

@@ -118,7 +118,7 @@ def render_report(
 
     ``system`` is the :class:`~repro.mcse.model.System` that ran with
     ``recorder`` attached; ``constraints`` is an optional
-    :class:`~repro.analysis.constraints.ConstraintSet`.
+    :class:`~repro.trace.constraints.ConstraintSet`.
     """
     title = title or f"Simulation report: {system.name}"
     chart = TimelineChart.from_recorder(recorder)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..kernel.time import Time
-from ..trace.records import (
+from .records import (
     ACTIVATION_REASONS,
     COMPLETION_STATES,
     AccessKind,
@@ -22,7 +22,7 @@ from ..trace.records import (
     StateRecord,
     TaskState,
 )
-from ..trace.recorder import TraceRecorder
+from .recorder import TraceRecorder
 
 
 @dataclass(frozen=True)

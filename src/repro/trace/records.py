@@ -50,7 +50,7 @@ class TaskState(enum.Enum):
 
 
 #: The one definition of a job window, shared by the post-hoc
-#: :func:`~repro.analysis.measurements.response_times` and the online
+#: :func:`~repro.trace.measurements.response_times` and the online
 #: :class:`~repro.rtos.watchdog.DeadlineWatchdog`: a job opens when the
 #: task enters ``READY`` for one of these reasons...
 ACTIVATION_REASONS = ("woken", "timer", "created")

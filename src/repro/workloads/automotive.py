@@ -6,7 +6,7 @@ priority-arbitrated bus -- which is exactly how CAN arbitration works
 (lower message ID = higher priority; here: higher ``transfer_priority``
 wins).  Safety messages must beat bulk diagnostics on the wire, and the
 receiving control tasks carry reaction deadlines, so the generated
-:class:`~repro.analysis.constraints.ConstraintSet` verifies the whole
+:class:`~repro.trace.constraints.ConstraintSet` verifies the whole
 chain sensor -> bus -> controller automatically.
 
 Topology::
@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..analysis.constraints import ConstraintSet, ReactionConstraint
 from ..comm.bus import Bus
 from ..comm.remote import RemoteQueue
 from ..kernel.time import MS, Time, US
 from ..mcse.model import System
+from ..trace.constraints import ConstraintSet, ReactionConstraint
 
 #: Rough 500 kbit/s CAN timing: ~16us per payload byte on the wire.
 CAN_PER_BYTE = 16 * US

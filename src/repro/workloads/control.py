@@ -5,7 +5,7 @@ sensors raise events, software controllers compute commands under
 deadlines, actuators must fire within a reaction bound.  The generator
 builds ``n`` independent control loops sharing one RTOS processor plus
 an optional background load task, and returns the matching
-:class:`~repro.analysis.constraints.ConstraintSet` so the paper's
+:class:`~repro.trace.constraints.ConstraintSet` so the paper's
 "automatic verification of timing constraints" future-work feature can
 be demonstrated end to end.
 """
@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..analysis.constraints import ConstraintSet, DeadlineConstraint, ReactionConstraint
 from ..kernel.time import MS, Time, US
 from ..mcse.model import System
 from ..rtos.interrupts import PeriodicInterrupt
+from ..trace.constraints import ConstraintSet, DeadlineConstraint, ReactionConstraint
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Fixed WCETs answer worst-case questions; distributions answer the
 "what does the latency *distribution* look like" questions a DSE also
 needs.  Each distribution samples integer femtosecond durations from a
 caller-supplied ``random.Random``, so whole Monte-Carlo campaigns stay
-reproducible (see :mod:`repro.analysis.montecarlo`).
+reproducible (see :mod:`repro.campaign.montecarlo`).
 
 Example::
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..analysis.response_time import PeriodicTask
+from ..analyze.response_time import PeriodicTask
 from ..errors import ReproError
 from ..kernel.time import MS, Time, US
 from ..mcse.model import System

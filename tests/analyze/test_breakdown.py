@@ -3,7 +3,11 @@
 import pytest
 
 from repro.kernel.time import MS, US
-from repro.analysis import PeriodicTask, breakdown_utilization, total_utilization
+from repro.analyze import (
+    PeriodicTask,
+    breakdown_utilization,
+    total_utilization,
+)
 
 
 def base_set():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel.time import MS, US
 
-from repro.analysis import (
+from repro.analyze import (
     PeriodicTask,
     is_schedulable,
     liu_layland_bound,

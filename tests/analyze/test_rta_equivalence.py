@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.response_time import (
+from repro.analyze.response_time import (
     PeriodicTask,
     _task_response,
     response_time_analysis,

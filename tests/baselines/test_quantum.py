@@ -12,8 +12,7 @@ from repro.baselines import QuantumProcessor
 from repro.errors import RTOSError
 from repro.kernel.time import US
 from repro.mcse import System
-from repro.trace import TraceRecorder
-from repro.analysis import reaction_latencies
+from repro.trace import TraceRecorder, reaction_latencies
 
 
 def build_reaction_system(processor_factory):

@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel.time import MS, US
-from repro.analysis import (
+from repro.campaign import (
     Parameter,
     configurations,
     explore,
     pareto_front,
     tabulate,
 )
-from repro.analysis.dse import ExplorationResult
+from repro.campaign.dse import ExplorationResult
 from repro.mcse import System
 
 

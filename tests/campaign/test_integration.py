@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.analysis import Parameter, configurations, explore, monte_carlo
+from repro.campaign import Parameter, configurations, explore, monte_carlo
 from repro.errors import CampaignError
 from repro.kernel.time import MS, US
 from repro.mcse import System

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel.time import MS, US
-from repro.analysis import format_campaign, monte_carlo
+from repro.campaign import format_campaign, monte_carlo
 
 
 def deterministic_experiment(seed):
@@ -53,14 +53,14 @@ class TestMetricSample:
         assert "value" in text
 
     def test_empty_sample_mean_raises_repro_error(self):
-        from repro.analysis import MetricSample
+        from repro.campaign import MetricSample
 
         sample = MetricSample("empty")
         with pytest.raises(ReproError, match="'empty' has no samples"):
             sample.mean()
 
     def test_empty_sample_mean_is_not_zero_division(self):
-        from repro.analysis import MetricSample
+        from repro.campaign import MetricSample
 
         try:
             MetricSample("e").mean()

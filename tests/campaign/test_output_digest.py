@@ -26,8 +26,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.analysis import Parameter, explore, monte_carlo
-from repro.campaign import ResultCache, mpeg2_experiment
+from repro.campaign import (
+    Parameter,
+    ResultCache,
+    explore,
+    monte_carlo,
+    mpeg2_experiment,
+)
 from repro.corpus.matrix import load_matrix, run_matrix
 from repro.kernel.time import MS, US
 from repro.mcse import System

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.dse import _design_point
+from repro.campaign.dse import _design_point
 from repro.campaign import ExperimentSpec, callable_fingerprint, canonical_json
 from repro.errors import CampaignError
 

@@ -115,7 +115,7 @@ class TestModelErrors:
 
 class TestHardConstraintInjection:
     def test_overload_trips_hard_constraint(self):
-        from repro.analysis import ConstraintSet, DeadlineConstraint
+        from repro.trace import ConstraintSet, DeadlineConstraint
 
         system = System("overload")
         cpu = system.processor("cpu")

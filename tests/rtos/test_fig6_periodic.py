@@ -8,10 +8,9 @@ between cycles.
 
 import pytest
 
-from repro.analysis import reaction_latencies
 from repro.kernel.time import US
 from repro.mcse import System
-from repro.trace import TraceRecorder
+from repro.trace import TraceRecorder, reaction_latencies
 
 PERIOD = 400 * US
 CYCLES = 6

@@ -116,7 +116,7 @@ class TestAttachIsr:
     def test_isr_preempts_at_exact_interrupt_time(self):
         from repro.rtos import attach_isr
         from repro.trace import TraceRecorder
-        from repro.analysis import state_intervals
+        from repro.trace import state_intervals
         from repro.trace.records import TaskState
 
         system = System("isr2")

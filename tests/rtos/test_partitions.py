@@ -6,8 +6,7 @@ from repro.errors import RTOSError
 from repro.kernel.time import MS, US
 from repro.mcse import System
 from repro.rtos import TimePartitionPolicy
-from repro.trace import TraceRecorder
-from repro.analysis import state_intervals
+from repro.trace import TraceRecorder, state_intervals
 from repro.trace.records import TaskState
 
 

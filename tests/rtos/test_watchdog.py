@@ -120,7 +120,7 @@ class TestOneJobWindow:
     def test_fig7_activations_match_measured_responses(self, variant):
         from _scenarios import build_fig7_system
 
-        from repro.analysis.measurements import response_times
+        from repro.trace.measurements import response_times
 
         system, recorder, _done = build_fig7_system(variant)
         watchdogs = {task: DeadlineWatchdog(system.sim, task, 1000 * MS)

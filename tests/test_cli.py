@@ -227,42 +227,42 @@ class TestEmitJson:
     """One canonical JSON encoding shared by every subcommand and serve."""
 
     def test_stdout_default(self, capsys):
-        from repro.cli import _emit_json
+        from repro.jsonout import emit_json
 
-        _emit_json({"b": 1, "a": [2, 3]})
+        emit_json({"b": 1, "a": [2, 3]})
         out = capsys.readouterr().out
         assert out == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
 
     def test_path_and_filelike_destinations(self, tmp_path):
         import io
 
-        from repro.cli import _emit_json
+        from repro.jsonout import emit_json
 
         path = tmp_path / "out.json"
-        returned = _emit_json({"z": 0, "a": 1}, str(path))
+        returned = emit_json({"z": 0, "a": 1}, str(path))
         buffer = io.StringIO()
-        _emit_json({"z": 0, "a": 1}, buffer)
+        emit_json({"z": 0, "a": 1}, buffer)
         assert path.read_text() == buffer.getvalue() == returned + "\n"
 
     def test_key_order_is_stable(self):
-        from repro.cli import _emit_json
+        from repro.jsonout import emit_json
 
         import io
 
         first, second = io.StringIO(), io.StringIO()
-        _emit_json({"b": 1, "a": 2}, first)
-        _emit_json({"a": 2, "b": 1}, second)
+        emit_json({"b": 1, "a": 2}, first)
+        emit_json({"a": 2, "b": 1}, second)
         assert first.getvalue() == second.getvalue()
 
     def test_serve_responses_use_the_same_encoding(self):
-        from repro.cli import _emit_json
+        from repro.jsonout import emit_json
         from repro.serve.app import _encode_json
 
         payload = {"nested": {"b": 1, "a": 2}, "list": [1, 2]}
         import io
 
         buffer = io.StringIO()
-        _emit_json(payload, buffer)
+        emit_json(payload, buffer)
         assert _encode_json(payload) == buffer.getvalue().encode()
 
     def test_lint_json_goes_through_emit_json(self, capsys):

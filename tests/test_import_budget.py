@@ -48,6 +48,13 @@ ENTRY_POINTS = {
     """,
 }
 
+#: Modules one entry point may not load on top of :data:`NEVER_LOADED`:
+#: model lint needs the pragma parser, not the AST source linter.
+ALSO_NEVER_LOADED = {
+    "cli lint": ("repro.analyze.code",),
+    "perfbench imports": ("repro.analyze.code",),
+}
+
 
 def fresh_value(body: str, result: str = "sorted(sys.modules)"):
     """Run ``body`` in a new interpreter and return ``result`` there."""
@@ -61,7 +68,7 @@ def test_entry_point_loads_nothing_it_does_not_run(entry):
     loaded = fresh_value(ENTRY_POINTS[entry])
     unexpected = sorted(
         name for name in loaded
-        for banned in NEVER_LOADED
+        for banned in NEVER_LOADED + ALSO_NEVER_LOADED.get(entry, ())
         if name == banned or name.startswith(banned + ".")
     )
     assert not unexpected, f"{entry} loaded {unexpected}"
@@ -71,6 +78,14 @@ def test_import_repro_loads_no_subpackage():
     loaded = fresh_value("import repro")
     assert [name for name in loaded if name.startswith("repro")] == [
         "repro", "repro._exports",
+    ]
+
+
+def test_cli_help_loads_only_the_cli():
+    loaded = fresh_value(ENTRY_POINTS["cli --help"])
+    assert [name for name in loaded if name.startswith("repro")] == [
+        "repro", "repro._exports", "repro.cli", "repro.errors",
+        "repro.jsonout", "repro.kernel", "repro.kernel.time",
     ]
 
 

@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import ConstraintViolation
 from repro.kernel.time import US
-from repro.trace import TraceRecorder
-
-from repro.analysis import (
+from repro.trace import (
     ConstraintSet,
     DeadlineConstraint,
     JitterConstraint,
     ReactionConstraint,
+    TraceRecorder,
 )
 
 from ..rtos.helpers import build_fig6_system

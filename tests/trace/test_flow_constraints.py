@@ -4,10 +4,10 @@ import pytest
 
 from repro.kernel.time import MS, US
 from repro.mcse import System
-from repro.trace import TraceRecorder
-from repro.analysis import (
+from repro.trace import (
     PrecedenceConstraint,
     ThroughputConstraint,
+    TraceRecorder,
     ascii_histogram,
 )
 

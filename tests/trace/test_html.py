@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.analysis import ConstraintSet, ReactionConstraint
 from repro.kernel.time import US
-from repro.trace import TraceRecorder, render_report, save_report
+from repro.trace import (
+    ConstraintSet,
+    ReactionConstraint,
+    TraceRecorder,
+    render_report,
+    save_report,
+)
 
 from ..rtos.helpers import build_fig6_system
 

@@ -4,9 +4,8 @@ import pytest
 
 from repro.kernel.time import US
 from repro.mcse import System
-from repro.trace import TraceRecorder
-
-from repro.analysis import (
+from repro.trace import (
+    TraceRecorder,
     blocking_intervals,
     reaction_latencies,
     response_times,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import latency_summary, percentile
+from repro.trace import latency_summary, percentile
 
 
 class TestPercentile:

@@ -16,7 +16,7 @@ check the exhaustive and randomized strategies agree on small spaces.
 
 import pytest
 
-from repro.analysis.response_time import (
+from repro.analyze.response_time import (
     PeriodicTask,
     response_time_analysis,
 )

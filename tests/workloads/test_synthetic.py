@@ -15,7 +15,7 @@ from repro.workloads import (
     random_pipeline_spec,
     uunifast,
 )
-from repro.analysis import PeriodicTask, total_utilization
+from repro.analyze import PeriodicTask, total_utilization
 
 
 class TestUUniFast:

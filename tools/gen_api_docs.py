@@ -26,7 +26,6 @@ MODULES = [
     "repro.rtos",
     "repro.smp",
     "repro.trace",
-    "repro.analysis",
     "repro.analyze",
     "repro.personality",
     "repro.personality.differential",
