@@ -39,6 +39,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="write a self-contained HTML report")
 
 
+def _reads_trace(args) -> bool:
+    """Whether an output option reads the recorded trace.
+
+    ``--stats`` reads the functions' online accumulators, not the trace.
+    """
+    return bool(args.timeline or args.svg or args.vcd or args.jsonl
+                or args.html)
+
+
 def _emit_outputs(args, system, recorder) -> None:
     chart = None
     if args.timeline or args.svg:
@@ -86,7 +95,7 @@ def cmd_run(args) -> int:
     with open(args.spec) as handle:
         spec = json.load(handle)
     system = build_system(spec)
-    recorder = TraceRecorder(system.sim)
+    recorder = TraceRecorder(system.sim) if _reads_trace(args) else None
     duration = parse_time(args.duration) if args.duration else None
     end = system.run(duration)
     print(f"simulated {system.name!r} to t={format_time(end)}")
@@ -116,14 +125,10 @@ def cmd_mpeg2(args) -> int:
     from .workloads.mpeg2 import Mpeg2Soc
 
     soc = Mpeg2Soc(frames=args.frames, engine=args.engine, seed=args.seed)
-    recorder = TraceRecorder(soc.system.sim) if (
-        args.timeline or args.svg or args.vcd or args.jsonl or args.stats
-        or args.html
-    ) else None
+    recorder = TraceRecorder(soc.system.sim) if _reads_trace(args) else None
     soc.run()
     print(soc.format_summary())
-    if recorder is not None:
-        _emit_outputs(args, soc.system, recorder)
+    _emit_outputs(args, soc.system, recorder)
     return 0
 
 

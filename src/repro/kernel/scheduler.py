@@ -360,11 +360,7 @@ class KernelCore:
                 if ran_any:
                     delta_guard += 1
                     if delta_guard > self._max_delta_cycles:
-                        raise SchedulerError(
-                            f"more than {self._max_delta_cycles} delta cycles "
-                            f"without time advancing at t={format_time(self.now)}; "
-                            "the model probably has a zero-delay loop"
-                        )
+                        raise self._stalled_error()
                 events = delta_events[:]
                 delta_events.clear()
                 resumes = delta_resumes[:]
@@ -383,10 +379,24 @@ class KernelCore:
                     continue
 
             # --- timed notification phase ------------------------------
-            advanced = self._advance_time(end)
-            if not advanced:
+            before = self.now
+            if not self._advance_time(end):
                 return
-            delta_guard = 0
+            if self.now != before:
+                delta_guard = 0
+            else:
+                # a timed entry due now (a zero delay) is one more cycle
+                # at the same instant, not progress
+                delta_guard += 1
+                if delta_guard > self._max_delta_cycles:
+                    raise self._stalled_error()
+
+    def _stalled_error(self) -> SchedulerError:
+        return SchedulerError(
+            f"more than {self._max_delta_cycles} delta cycles "
+            f"without time advancing at t={format_time(self.now)}; "
+            "the model probably has a zero-delay loop"
+        )
 
     def _advance_time(self, end: Optional[Time]) -> bool:
         """Drain the earliest batch of timed entries; returns False when done.

@@ -49,6 +49,8 @@ class Simulator(KernelCore):
         "_observers",
         "_emit",
         "choice_controller",
+        # a trace recorder's finalizer refers to its simulator weakly
+        "__weakref__",
     )
 
     def __init__(

@@ -7,17 +7,24 @@ Attach a recorder to a simulator and every layer starts emitting::
     recorder.state_records("Function_1")
     recorder.save_jsonl("trace.jsonl")
 
-A recorder is an ordinary record observer: an unbounded one attaches
-its list's ``append`` (one list append per record), a bounded one
-:meth:`TraceRecorder.add`, which counts drops.  It detaches like any
-observer, with ``sim.remove_observer`` and the callable it attached.
-With nothing attached the emission sites are no-ops, so long benchmark
-runs can go untraced.
+A recorder is an ordinary record observer.  Its sink is
+:attr:`TraceRecorder.add`: for an unbounded recorder that is its list's
+``append`` (one list append per record); a bounded one attaches a small
+sink that owns the list, the limit and the drop count.  It detaches like
+any observer, with ``sim.remove_observer(recorder.add)``.
+
+A recorder records while something references it.  Dropping the last
+reference detaches its sink, so reference counting frees the trace at
+once, even though the simulator sits in reference cycles with its
+processes and would otherwise keep the records until a full garbage
+collection.  With nothing attached the emission sites are no-ops, so
+long benchmark runs can go untraced.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import asdict
 from typing import Callable, Iterable, List, Optional, Type
 
@@ -35,27 +42,64 @@ from .records import (
 )
 
 
+class _BoundedSink:
+    """Stores records up to ``limit`` and counts the rest as dropped.
+
+    It holds no reference to its recorder, so the simulator it is
+    attached to cannot keep the recorder alive.
+    """
+
+    __slots__ = ("records", "limit", "dropped")
+
+    def __init__(self, records: List[TraceRecord], limit: int) -> None:
+        self.records = records
+        self.limit = limit
+        self.dropped = 0
+
+    def __call__(self, record: TraceRecord) -> None:
+        if len(self.records) >= self.limit:
+            self.dropped += 1
+        else:
+            self.records.append(record)
+
+
+def _detach(sim_ref: "weakref.ref[Simulator]",
+            sink: Callable[[TraceRecord], None]) -> None:
+    sim = sim_ref()
+    if sim is not None:
+        sim.remove_observer(sink)
+
+
 class TraceRecorder:
-    """An append-only store of trace records with typed accessors."""
+    """An append-only store of trace records with typed accessors.
+
+    ``add(record)`` stores one record (subject to ``limit``); it is
+    the observer the recorder attaches to ``sim``.
+    """
 
     def __init__(self, sim: Optional[Simulator] = None,
                  limit: Optional[int] = None) -> None:
         self.records: List[TraceRecord] = []
         self.limit = limit
-        self.dropped = 0
         self.sim = sim
+        self.add: Callable[[TraceRecord], None] = (
+            self.records.append if limit is None
+            else _BoundedSink(self.records, limit))
         if sim is not None:
-            sim.add_observer(self.records.append if limit is None
-                             else self.add)
+            sim.add_observer(self.add)
+            # The finalizer references neither the recorder nor (strongly)
+            # the simulator, so it keeps neither alive.
+            weakref.finalize(
+                self, _detach, weakref.ref(sim), self.add).atexit = False
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def add(self, record: TraceRecord) -> None:
-        if self.limit is not None and len(self.records) >= self.limit:
-            self.dropped += 1
-            return
-        self.records.append(record)
+    @property
+    def dropped(self) -> int:
+        """Records a bounded recorder refused once full."""
+        sink = self.add
+        return sink.dropped if isinstance(sink, _BoundedSink) else 0
 
     def mark(self, label: str, task: Optional[str] = None) -> None:
         """Insert a free-form marker at the current time."""
@@ -64,7 +108,8 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.records.clear()
-        self.dropped = 0
+        if isinstance(self.add, _BoundedSink):
+            self.add.dropped = 0
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,10 +1,13 @@
 """Tests for the kernel run loop, phases and run control."""
 
+import time
+
 import pytest
 
 from repro.errors import DeadlockError, SchedulerError
 from repro.kernel import Simulator
-from repro.kernel.time import NS, US
+from repro.kernel.time import MS, NS, US
+from repro.mcse.builder import build_system
 
 
 class TestRunControl:
@@ -152,6 +155,21 @@ class TestDeltaCycles:
         sim.thread(spinner)
         with pytest.raises(SchedulerError, match="delta cycles"):
             sim.run()
+
+    def test_zero_time_timed_loop_detected(self):
+        # every iteration passes through the timed phase (a zero delay
+        # arms a timed callback due now), which is no time progress
+        system = build_system({
+            "processors": [{"name": "cpu"}],
+            "functions": [{
+                "name": "spin", "processor": "cpu", "priority": 1,
+                "script": [["loop", None, [["delay", "0us"]]]],
+            }],
+        }, sim=Simulator(max_delta_cycles=1000))
+        started = time.perf_counter()
+        with pytest.raises(SchedulerError, match="1000 delta cycles"):
+            system.run(1 * MS)
+        assert time.perf_counter() - started < 1.0
 
     def test_time_never_goes_backwards(self, sim):
         times = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.mcse import System
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLES = REPO / "examples"
@@ -60,6 +61,27 @@ class TestRunCommand:
         assert "$timescale" in vcd.read_text()
         assert jsonl.read_text().strip()
         assert html.read_text().startswith("<!DOCTYPE html>")
+
+    def test_records_only_for_trace_outputs(self, spec_file, tmp_path,
+                                            capsys, monkeypatch):
+        run = System.run
+        sinks = []
+
+        def note_sink_and_run(system, *args, **kwargs):
+            sinks.append(system.sim._emit)
+            return run(system, *args, **kwargs)
+
+        monkeypatch.setattr(System, "run", note_sink_and_run)
+        assert main(["run", spec_file]) == 0
+        assert capsys.readouterr().out == "simulated 'demo' to t=14us\n"
+        assert main(["run", spec_file, "--stats"]) == 0
+        stats = capsys.readouterr().out
+        jsonl = tmp_path / "out.jsonl"
+        assert main(["run", spec_file, "--stats", "--jsonl", str(jsonl)]) == 0
+        traced = capsys.readouterr().out
+        # --stats reads the functions' accumulators: no recorder attached
+        assert [sink is None for sink in sinks] == [True, True, False]
+        assert traced == stats + f"wrote {jsonl}\n"
 
 
 class TestFig6Command:

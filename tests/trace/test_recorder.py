@@ -1,9 +1,15 @@
 """Tests for the trace recorder."""
 
+import gc
 import json
+import weakref
 
+import pytest
+
+from repro.kernel import Simulator
 from repro.kernel.time import US
 from repro.mcse import System
+from repro.mcse.builder import build_system
 from repro.trace import (
     AccessRecord,
     MarkerRecord,
@@ -12,6 +18,41 @@ from repro.trace import (
     TraceRecorder,
 )
 from repro.trace.records import AccessKind
+
+from ..fresh import run_fresh
+
+#: Five traced runs of one corpus spec, keeping nothing, with the
+#: collector off; prints tracemalloc's current size after each run.
+RUNS_IN_FRESH_PROCESS = """
+import gc, json, tracemalloc
+from repro.corpus.generators import generate
+from repro.kernel.time import MS
+from repro.mcse.builder import build_system
+from repro.trace.recorder import TraceRecorder
+
+spec = generate("periodic", seed=6)
+gc.disable()
+tracemalloc.start()
+sizes = []
+for _ in range(5):
+    system = build_system(spec)
+    recorder = TraceRecorder(system.sim)
+    system.run(1000 * MS)
+    assert len(recorder) > 4000
+    del system, recorder
+    sizes.append(tracemalloc.get_traced_memory()[0])
+print(json.dumps(sizes))
+"""
+
+
+@pytest.fixture()
+def gc_off():
+    """Only reference counting may free while a test runs."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def run_small_system():
@@ -98,6 +139,76 @@ class TestRecording:
         _, recorder = run_small_system()
         window = recorder.between(0, 1 * US)
         assert all(r.time < 1 * US for r in window)
+
+
+@pytest.mark.usefixtures("gc_off")
+class TestLifetime:
+    """A recorder records while referenced; dropping it frees its trace.
+
+    The simulator sits in reference cycles with its processes: a trace
+    it still referenced would live until a full collection.  These tests
+    run with the collector off, so only reference counting frees.
+    """
+
+    def test_dropped_recorder_frees_its_trace(self):
+        system, recorder = run_small_system()
+        first = weakref.ref(recorder.records[0])
+        del recorder
+        assert first() is None
+        assert system.sim._emit is None
+
+    def test_dropped_bounded_recorder_frees_its_trace(self):
+        system = System("t")
+        recorder = TraceRecorder(system.sim, limit=2)
+
+        def a(fn):
+            yield from fn.execute(1 * US)
+
+        system.function("a", a)
+        system.run()
+        assert (len(recorder), recorder.dropped) == (2, 1)
+        first = weakref.ref(recorder.records[0])
+        del recorder
+        assert first() is None
+        assert system.sim._emit is None
+
+    def test_dropping_one_of_two_keeps_the_other_in_order(self):
+        sim = Simulator("two")
+        first = TraceRecorder(sim)
+        second = TraceRecorder(sim, limit=2)
+        seen = []
+        sim.add_observer(seen.append)
+        sim.record("a")
+        del first
+        assert sim._observers == (second.add, seen.append)
+        for record in "bc":
+            sim.record(record)
+        assert second.records == ["a", "b"]
+        assert (second.dropped, seen) == (1, ["a", "b", "c"])
+
+    def test_held_recorder_records_across_runs(self):
+        system = build_system({
+            "processors": [{"name": "cpu"}],
+            "functions": [{
+                "name": "a", "processor": "cpu", "priority": 1,
+                "script": [["loop", None, [["execute", "1us"],
+                                           ["delay", "1us"]]]],
+            }],
+        })
+        recorder = TraceRecorder(system.sim)
+        counts = []
+        for _ in range(3):
+            system.run(5 * US)
+            counts.append(len(recorder))
+        assert 0 < counts[0] < counts[1] < counts[2]
+        assert system.sim._emit == recorder.records.append
+
+    def test_finished_runs_do_not_pile_up(self):
+        # Each trace is several times what a run leaves behind in the
+        # kernel's own cycles, so one kept trace per run would grow the
+        # heap by far more than half of its first size.
+        sizes = json.loads(run_fresh("-c", RUNS_IN_FRESH_PROCESS))
+        assert sizes[-1] < 1.5 * sizes[0], sizes
 
 
 class TestPersistence:
